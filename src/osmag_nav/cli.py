@@ -108,6 +108,9 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    if not args.res > 0:  # also rejects nan
+        print(f"error: --res must be positive, got {args.res}", file=sys.stderr)
+        return EXIT_CONFIG
     mapping = parse_osmag(_read_text(args.map))
     grid = render_grid(mapping, args.res)
     _write_text(args.output, grid.to_pgm())

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import llm
 from .geometry import MetricPoint
 from .osmag import (
     DESCRIPTION_KEY,
@@ -85,54 +86,25 @@ class IngestReport:
         return sum(self.skipped.values())
 
 
-def add_object_node(m: SemanticMap, rec: InstanceRecord) -> tuple[SemanticMap, int]:
-    """Add one object-node for ``rec``; returns the new map and node id."""
-    area_id = containing_area_metric(m, rec.centroid)
+def _add_node(m: SemanticMap, where: MetricPoint, key: str, value: str, what: str) -> None:
+    """Insert one semantic node into ``m`` in place, parented to the area containing ``where``."""
+    area_id = containing_area_metric(m, where)
     if area_id is None:
-        raise OrphanRecordError(
-            f"instance '{rec.label}' at ({rec.centroid.x:.2f}, {rec.centroid.y:.2f}) "
-            "lies outside every area"
-        )
-    out = m.copy()
-    nid = out.next_free_node_id()
-    position = out.metric_to_geo(rec.centroid)
-    out.nodes[nid] = MapNode(
-        nid, position, {OBJECT_KEY: rec.label, PARENT_KEY: str(area_id)}
-    )
-    return out, nid
-
-
-def add_viewpoint_node(m: SemanticMap, rec: ViewpointRecord) -> tuple[SemanticMap, int]:
-    """Add one viewpoint-node listing what the camera reported seeing there."""
-    area_id = containing_area_metric(m, rec.capture_pose)
-    if area_id is None:
-        raise OrphanRecordError(
-            f"viewpoint at ({rec.capture_pose.x:.2f}, {rec.capture_pose.y:.2f}) "
-            "lies outside every area"
-        )
-    out = m.copy()
-    nid = out.next_free_node_id()
-    position = out.metric_to_geo(rec.capture_pose)
-    out.nodes[nid] = MapNode(
-        nid,
-        position,
-        {OBSERVED_KEY: OBSERVED_SEPARATOR.join(rec.observed), PARENT_KEY: str(area_id)},
-    )
-    return out, nid
+        raise OrphanRecordError(f"{what} at ({where.x:.2f}, {where.y:.2f}) lies outside every area")
+    nid = m.next_free_node_id()
+    m.nodes[nid] = MapNode(nid, m.metric_to_geo(where), {key: value, PARENT_KEY: str(area_id)})
 
 
 def null_summarize(text: str) -> str:
     return text[:NULL_SUMMARY_LIMIT]
 
 
-def attach_room_description(
-    m: SemanticMap, rec: RoomDescriptionRecord, summarizer=None
-) -> SemanticMap:
-    """Set the room-description tag from summarized per-image descriptions.
+def _describe_room(m: SemanticMap, rec: RoomDescriptionRecord, summarizer) -> None:
+    """Set the room-description tag of ``m`` in place from summarized per-image descriptions.
 
     ``summarizer`` is a TextBackend (see the llm module); ``None`` selects the
-    null summarizer (first 500 characters of the concatenation). On summarizer
-    failure the input map is returned unchanged and the error propagates.
+    null summarizer (first 500 characters of the concatenation). A summarizer
+    failure propagates before anything is written.
     """
     if rec.area_id not in m.areas:
         raise EnrichmentError(f"room description references missing area {rec.area_id}")
@@ -140,16 +112,12 @@ def attach_room_description(
     if summarizer is None:
         summary = null_summarize(joined)
     else:
-        from .llm import CompletionRequest, complete
-
-        req = CompletionRequest(
+        req = llm.CompletionRequest(
             system_text="Summarize room descriptions into one compact paragraph.",
             user_text=joined,
         )
-        summary = complete(summarizer, req)
-    out = m.copy()
-    out.areas[rec.area_id].tags[DESCRIPTION_KEY] = summary
-    return out
+        summary = llm.complete(summarizer, req)
+    m.areas[rec.area_id].tags[DESCRIPTION_KEY] = summary
 
 
 def _merge_instances(
@@ -238,10 +206,12 @@ def ingest(
     summarizer=None,
     merge_radius_m: float = DEFAULT_MERGE_RADIUS_M,
 ) -> tuple[SemanticMap, IngestReport]:
-    """Apply a full records payload (dict or JSON text) in file order.
+    """Apply a full records payload (dict or JSON text) to one copy of ``m``.
 
-    Orphan records are skipped with a recorded reason; a schema violation
-    aborts before any record is applied.
+    Instances, then viewpoints, then room descriptions, each in file order,
+    are written in place to that copy; ``m`` itself is never written. Orphan
+    records are skipped with a recorded reason; a schema violation aborts
+    before any record is applied, and a summarizer failure propagates.
     """
     payload = json.loads(records) if isinstance(records, str) else records
     instances, viewpoints, descriptions = parse_records(payload)
@@ -249,26 +219,24 @@ def ingest(
 
     instances, report.merged_instances = _merge_instances(instances, merge_radius_m)
 
-    out = m
-    for rec in instances:
+    out = m.copy()
+
+    def apply(section: str, step, *args) -> None:
         try:
-            out, _ = add_object_node(out, rec)
-            report.applied["instances"] += 1
-        except OrphanRecordError as exc:
-            report.skipped["instances"] += 1
-            report.reasons.append(str(exc))
-    for rec in viewpoints:
-        try:
-            out, _ = add_viewpoint_node(out, rec)
-            report.applied["viewpoints"] += 1
-        except OrphanRecordError as exc:
-            report.skipped["viewpoints"] += 1
-            report.reasons.append(str(exc))
-    for rec in descriptions:
-        try:
-            out = attach_room_description(out, rec, summarizer)
-            report.applied["room_descriptions"] += 1
+            step(out, *args)
         except EnrichmentError as exc:
-            report.skipped["room_descriptions"] += 1
+            report.skipped[section] += 1
             report.reasons.append(str(exc))
+        else:
+            report.applied[section] += 1
+
+    for rec in instances:
+        apply("instances", _add_node, rec.centroid, OBJECT_KEY, rec.label, f"instance '{rec.label}'")
+    for rec in viewpoints:
+        apply(
+            "viewpoints", _add_node, rec.capture_pose,
+            OBSERVED_KEY, OBSERVED_SEPARATOR.join(rec.observed), "viewpoint",
+        )
+    for rec in descriptions:
+        apply("room_descriptions", _describe_room, rec, summarizer)
     return out, report

@@ -172,16 +172,6 @@ def dir_rate(
     raise EvalError(f"unknown dir mode '{mode}'")
 
 
-def map_size_report(m: SemanticMap, comparison_paths: list[str] | None = None) -> dict:
-    out: dict = {"map_bytes": map_size_bytes(m)}
-    if comparison_paths:
-        comparisons = {}
-        for path in comparison_paths:
-            comparisons[path] = os.path.getsize(path)
-        out["comparisons"] = comparisons
-    return out
-
-
 # ---------------------------------------------------------------------------
 # report
 

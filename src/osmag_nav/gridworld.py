@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import MetricPoint
-from .osmag import SemanticMap
+from .osmag import OsmagError, SemanticMap
 
 FREE = 0
 OCCUPIED = 1
@@ -304,7 +304,7 @@ def render_grid(
     for area in m.areas.values():
         points.extend(m.area_ring_metric(area))
     if not points:
-        raise ValueError("map has no area geometry to render")
+        raise OsmagError("map has no area geometry to render")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     origin = MetricPoint(min(xs) - margin_m, min(ys) - margin_m)

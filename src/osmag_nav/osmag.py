@@ -121,8 +121,9 @@ class Passage:
 class SemanticMap:
     """Immutable-by-convention semantic-osmAG map.
 
-    Mutation is confined to the enrichment module, which copies first; all
-    other code treats instances as read-only and safe to share.
+    Mutation happens only inside ``enrichment.ingest``, on the one copy it
+    makes per call; all other code treats instances as read-only and safe to
+    share.
     """
 
     def __init__(

@@ -98,9 +98,6 @@ class RetrievalPlan:
                 out.append((room.area_id, nid))
         return out
 
-    def node_order(self) -> list[int]:
-        return [nid for _, nid in self.flatten()]
-
     def to_dict(self) -> dict:
         return {
             "rooms": [{"room_id": r.area_id, "nodes": list(r.node_ids)} for r in self.rooms],

@@ -110,6 +110,27 @@ def test_render_writes_pgm_and_sidecar(fixture_files, capsys):
     assert out.read_text().startswith("P2\n")
 
 
+def test_render_nonpositive_resolution_is_config_error(fixture_files, capsys):
+    tmp_path, map_path, _ = fixture_files
+    for res in ("0", "-0.1", "nan"):
+        assert main(["render", str(map_path), "--res", res, "-o", str(tmp_path / "grid.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "grid.pgm").exists()
+
+
+def test_render_map_without_areas_is_failure(tmp_path, capsys):
+    from osmag_nav.osmag import SemanticMap
+
+    m = five_room_map()
+    empty = tmp_path / "no_areas.osm"
+    empty.write_text(serialize_osmag(SemanticMap(m.nodes, {}, {}, m.projection_origin)), encoding="utf-8")
+    assert main(["render", str(empty), "-o", str(tmp_path / "grid.pgm")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "grid.pgm").exists()
+
+
 def test_simulate_then_eval(fixture_files, capsys):
     tmp_path, map_path, records_path = fixture_files
     enriched_path = tmp_path / "enriched.osm"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -8,37 +9,40 @@ import mapgen
 from osmag_nav.enrichment import (
     DEFAULT_MERGE_RADIUS_M,
     EnrichmentError,
-    InstanceRecord,
-    OrphanRecordError,
-    RoomDescriptionRecord,
     ViewpointRecord,
-    add_object_node,
-    add_viewpoint_node,
-    attach_room_description,
     ingest,
 )
 from osmag_nav.geometry import MetricPoint
 from osmag_nav.llm import BackendUnavailableError, CompletionRequest, ScriptedBackend, TextBackend
-from osmag_nav.osmag import containing_area, serialize_osmag, validate
+from osmag_nav.osmag import SemanticMap, containing_area, serialize_osmag, validate
 
 
-def test_add_object_node_sets_parent_and_tag(bare_map):
-    m, nid = add_object_node(bare_map, InstanceRecord("sink", MetricPoint(8.0, 1.0)))
+def _ingest_one(m, section, record, summarizer=None):
+    """Ingest a one-record payload; returns the map, the report and the new node ids."""
+    out, report = ingest(m, {section: [record]}, summarizer)
+    return out, report, sorted(set(out.nodes) - set(m.nodes))
+
+
+def test_object_node_sets_parent_and_tag(bare_map):
+    m, _, (nid,) = _ingest_one(bare_map, "instances", {"label": "sink", "x": 8.0, "y": 1.0})
     node = m.nodes[nid]
     assert node.tags["semantic_osmAG:object_name"] == "sink"
     assert node.tags["parent"] == "105"  # lounge
     assert len(m.nodes) == len(bare_map.nodes) + 1
 
 
-def test_add_object_node_orphan_rejected(bare_map):
-    with pytest.raises(OrphanRecordError):
-        add_object_node(bare_map, InstanceRecord("sink", MetricPoint(-10.0, -10.0)))
+def test_object_node_orphan_skipped(bare_map):
+    m, report, new = _ingest_one(bare_map, "instances", {"label": "sink", "x": -10.0, "y": -10.0})
+    assert report.skipped["instances"] == 1
+    assert report.applied["instances"] == 0
+    assert report.reasons == ["instance 'sink' at (-10.00, -10.00) lies outside every area"]
+    assert new == []
 
 
 def test_same_label_two_rooms_distinct_parents(bare_map):
     # multi-instance objects: one label, two rooms, two nodes
-    m, n1 = add_object_node(bare_map, InstanceRecord("extinguisher", MetricPoint(3.0, 17.0)))
-    m, n2 = add_object_node(m, InstanceRecord("extinguisher", MetricPoint(3.0, 3.0)))
+    m, _, (n1,) = _ingest_one(bare_map, "instances", {"label": "extinguisher", "x": 3.0, "y": 17.0})
+    m, _, (n2,) = _ingest_one(m, "instances", {"label": "extinguisher", "x": 3.0, "y": 3.0})
     p1 = m.node_parent_area(m.nodes[n1])
     p2 = m.node_parent_area(m.nodes[n2])
     assert p1.id != p2.id
@@ -47,9 +51,9 @@ def test_same_label_two_rooms_distinct_parents(bare_map):
     assert containing_area(m, m.nodes[n2].position) == p2.id
 
 
-def test_add_viewpoint_node_joins_observed(bare_map):
-    rec = ViewpointRecord(MetricPoint(12.0, 10.5), 0.0, ("robot dog", "whiteboard"))
-    m, nid = add_viewpoint_node(bare_map, rec)
+def test_viewpoint_node_joins_observed(bare_map):
+    rec = {"x": 12.0, "y": 10.5, "heading_deg": 0.0, "observed": ["robot dog", "whiteboard"]}
+    m, _, (nid,) = _ingest_one(bare_map, "viewpoints", rec)
     assert m.nodes[nid].tags["semantic_osmAG:observed_object"] == "robot dog;whiteboard"
     assert m.nodes[nid].observed_objects == ["robot dog", "whiteboard"]
 
@@ -62,32 +66,32 @@ def test_empty_observed_list_rejected():
 def test_viewpoints_along_corridor_share_parent():
     m = mapgen.corridor_map()
     for x in (4.0, 10.0, 16.0):
-        m, nid = add_viewpoint_node(m, ViewpointRecord(MetricPoint(x, 1.5), 0.0, ("sign",)))
+        m, _, (nid,) = _ingest_one(m, "viewpoints", {"x": x, "y": 1.5, "observed": ["sign"]})
         assert m.node_parent_area(m.nodes[nid]).id == 100
         assert containing_area(m, m.nodes[nid].position) == 100
 
 
 def test_room_description_null_summarizer(bare_map):
-    rec = RoomDescriptionRecord(101, ("a lab with robot arms",))
-    m = attach_room_description(bare_map, rec, None)
+    rec = {"area_id": 101, "descriptions": ["a lab with robot arms"]}
+    m, _, _ = _ingest_one(bare_map, "room_descriptions", rec)
     assert m.areas[101].description == "a lab with robot arms"
 
 
 def test_room_description_null_summarizer_truncates(bare_map):
     long_text = "x" * 900
-    m = attach_room_description(bare_map, RoomDescriptionRecord(101, (long_text,)), None)
+    m, _, _ = _ingest_one(bare_map, "room_descriptions", {"area_id": 101, "descriptions": [long_text]})
     assert len(m.areas[101].description) == 500
 
 
 def test_room_description_scripted_summarizer(bare_map):
-    rec = RoomDescriptionRecord(101, ("first image", "second image"))
+    rec = {"area_id": 101, "descriptions": ["first image", "second image"]}
     backend = ScriptedBackend({})
     req = CompletionRequest(
         system_text="Summarize room descriptions into one compact paragraph.",
         user_text="first image second image",
     )
     backend.record(req, "a tidy meeting room")
-    m = attach_room_description(bare_map, rec, backend)
+    m, _, _ = _ingest_one(bare_map, "room_descriptions", rec, backend)
     assert m.areas[101].description == "a tidy meeting room"
 
 
@@ -101,10 +105,69 @@ class _FailingBackend(TextBackend):
 def test_summarizer_failure_leaves_map_unchanged(bare_map):
     before = serialize_osmag(bare_map)
     with pytest.raises(BackendUnavailableError):
-        attach_room_description(
-            bare_map, RoomDescriptionRecord(101, ("anything",)), _FailingBackend()
+        _ingest_one(
+            bare_map, "room_descriptions", {"area_id": 101, "descriptions": ["anything"]}, _FailingBackend()
         )
     assert serialize_osmag(bare_map) == before
+
+
+def test_ingest_copies_map_once_and_leaves_input_unchanged(bare_map, monkeypatch):
+    from osmag_nav.fixtures import five_room_records
+
+    copies = []
+    original = SemanticMap.copy
+
+    def counting_copy(self):
+        copies.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SemanticMap, "copy", counting_copy)
+    before = serialize_osmag(bare_map)
+    m, report = ingest(bare_map, five_room_records())
+    assert report.total_applied > 1
+    assert copies == [bare_map]
+    assert serialize_osmag(bare_map) == before
+    assert serialize_osmag(m) != before
+
+
+def _payload_inside(m: SemanticMap, seed: int) -> dict:
+    """Records at random points inside every area, with distinct labels, plus
+    one orphan of each node kind and a description of a missing area."""
+    rng = random.Random(seed)
+    instances, viewpoints, descriptions = [], [], []
+    for area in sorted(m.areas.values(), key=lambda a: a.id):
+        ring = m.area_ring_metric(area)
+        x0, x1 = min(x for x, _ in ring) + 0.3, max(x for x, _ in ring) - 0.3
+        y0, y1 = min(y for _, y in ring) + 0.3, max(y for _, y in ring) - 0.3
+        for _ in range(rng.randint(1, 3)):
+            label = f"thing {len(instances)}"
+            instances.append({"label": label, "x": rng.uniform(x0, x1), "y": rng.uniform(y0, y1)})
+        viewpoints.append(
+            {"x": rng.uniform(x0, x1), "y": rng.uniform(y0, y1), "observed": [f"seen {area.id}", "sign"]}
+        )
+        descriptions.append({"area_id": area.id, "descriptions": [f"room {area.id}", "tidy"]})
+    instances.insert(1, {"label": "ghost", "x": -100.0, "y": -100.0})
+    viewpoints.append({"x": -100.0, "y": -100.0, "observed": ["ghost"]})
+    descriptions.append({"area_id": 999999, "descriptions": ["nowhere"]})
+    return {"instances": instances, "viewpoints": viewpoints, "room_descriptions": descriptions}
+
+
+@pytest.mark.parametrize(
+    "m",
+    [mapgen.minimal_map(), mapgen.two_room_map(), mapgen.nested_map(), mapgen.corridor_map()]
+    + [mapgen.synthetic_map(seed) for seed in range(4)],
+    ids=["minimal", "two_room", "nested", "corridor"] + [f"synthetic{seed}" for seed in range(4)],
+)
+def test_one_payload_equals_single_record_payloads(m):
+    payload = _payload_inside(m, seed=0)
+    whole, report = ingest(m, payload)
+    assert report.merged_instances == 0
+    assert report.total_skipped == 3
+    step = m
+    for section in ("instances", "viewpoints", "room_descriptions"):
+        for record in payload[section]:
+            step, _ = ingest(step, {section: [record]})
+    assert serialize_osmag(whole) == serialize_osmag(step)
 
 
 def test_ingest_counts(bare_map):

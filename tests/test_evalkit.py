@@ -18,7 +18,6 @@ from osmag_nav.evalkit import (
     compute_report,
     dir_rate,
     generate_queries,
-    map_size_report,
     o_rsr,
     r_rsr,
     report_to_csv,
@@ -175,14 +174,6 @@ def test_dir_failed_only_dominates_all_queries():
         for _ in range(30)
     ]
     assert dir_rate(records, "failed_only") >= dir_rate(records, "all_queries") - 1e-12
-
-
-def test_map_size_report(enriched_map, tmp_path):
-    other = tmp_path / "blob.bin"
-    other.write_bytes(b"x" * 1234)
-    report = map_size_report(enriched_map, [str(other)])
-    assert report["map_bytes"] == len(serialize_osmag(enriched_map).encode())
-    assert report["comparisons"][str(other)] == 1234
 
 
 def test_metrics_config_validation():

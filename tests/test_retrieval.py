@@ -64,10 +64,10 @@ def test_query_granularity_and_text():
 
 
 def test_simplify_single_room_object(enriched_map, bare_map):
-    from osmag_nav.enrichment import InstanceRecord, add_object_node
-    from osmag_nav.geometry import MetricPoint
+    from osmag_nav.enrichment import ingest
 
-    m, nid = add_object_node(bare_map, InstanceRecord("sink", MetricPoint(8.0, 1.0)))
+    m, _ = ingest(bare_map, {"instances": [{"label": "sink", "x": 8.0, "y": 1.0}]})
+    (nid,) = set(m.nodes) - set(bare_map.nodes)
     text = simplify_map(m)
     node_lines = [line for line in text.splitlines() if "node" in line]
     assert len(node_lines) == 1
@@ -136,7 +136,7 @@ def test_parse_plan_valid_rooms(enriched_map):
         }
     )
     plan = parse_plan(reply, enriched_map)
-    assert plan.node_order() == [162, 163, 158, 159]
+    assert [nid for _, nid in plan.flatten()] == [162, 163, 158, 159]
     _assert_plan_invariants(plan, enriched_map)
 
 
@@ -146,7 +146,7 @@ def test_parse_plan_tolerates_prose_and_fences(enriched_map):
         '{"rooms": [{"room_id": 105, "nodes": [162]}]}\n```\nGood luck!'
     )
     plan = parse_plan(reply, enriched_map)
-    assert plan.node_order() == [162]
+    assert [nid for _, nid in plan.flatten()] == [162]
 
 
 def test_parse_plan_clamps_five_rooms(enriched_map):
@@ -166,7 +166,7 @@ def test_parse_plan_clamps_five_rooms(enriched_map):
 def test_parse_plan_drops_fabricated_node(enriched_map):
     reply = json.dumps({"rooms": [{"room_id": 105, "nodes": [162, 9999]}]})
     plan = parse_plan(reply, enriched_map)
-    assert plan.node_order() == [162]
+    assert [nid for _, nid in plan.flatten()] == [162]
     assert any("9999" in d for d in plan.drops)
 
 
@@ -253,7 +253,7 @@ def test_retrieve_retries_once_with_corrective(enriched_map):
     backend = _RetryBackend('{"rooms": [{"room_id": 105, "nodes": [162]}]}')
     plan = retrieve(enriched_map, Query("sink"), backend)
     assert backend.calls == 2
-    assert plan.node_order() == [162]
+    assert [nid for _, nid in plan.flatten()] == [162]
 
 
 class _AlwaysBadBackend(TextBackend):
