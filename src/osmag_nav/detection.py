@@ -12,7 +12,7 @@ proposal, verifier confusion, spurious accept) is reproducible on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +50,9 @@ class DetectionProfile:
     @classmethod
     def from_dict(cls, data: dict) -> "DetectionProfile":
         kwargs = dict(data)
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DetectionConfigError(f"unknown profile field(s): {', '.join(unknown)}")
         for key in ("conf_tp", "conf_fp"):
             if key in kwargs:
                 kwargs[key] = tuple(float(v) for v in kwargs[key])

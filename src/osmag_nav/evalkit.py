@@ -20,6 +20,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -315,10 +316,16 @@ def _mapped_label_positions(m: SemanticMap) -> dict[str, list[MetricPoint]]:
 
 def categorize_label(world: WorldModel, m: SemanticMap, label: str) -> str | None:
     """SO / RO / UO classification of a world label against the map, or None."""
+    return _categorize(world, _mapped_label_positions(m), label)
+
+
+def _categorize(
+    world: WorldModel, mapped_positions: dict[str, list[MetricPoint]], label: str
+) -> str | None:
     instances = [inst for _, inst in world.instances_of(label)]
     if not instances:
         return None
-    mapped = _mapped_label_positions(m).get(_norm_label(label), [])
+    mapped = mapped_positions.get(_norm_label(label), [])
     if not mapped:
         return UO
     def nearest(inst):
@@ -346,9 +353,10 @@ def generate_queries(
     if category not in CATEGORIES:
         raise EvalError(f"unknown category '{category}'")
     out: list[Query] = []
+    mapped_positions = _mapped_label_positions(m)
     labels = sorted({inst.label for inst in world.instances}, key=_norm_label)
     for label in labels:
-        if categorize_label(world, m, label) != category:
+        if _categorize(world, mapped_positions, label) != category:
             continue
         room = floor = None
         if granularity in ("or", "orf"):
@@ -441,6 +449,20 @@ def load_experiment_inputs(config: dict, base_dir: str = ".") -> tuple[SemanticM
     return m, world
 
 
+def _config_number(config: dict, key: str, default, kind, positive: bool):
+    """``config[key]`` as a finite, non-negative (or positive) ``kind``, or an
+    :class:`EvalError` naming the field."""
+    raw = config.get(key, default)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise EvalError(f"experiment config field '{key}' must be a number, got {raw!r}") from exc
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        wanted = "positive" if positive else "non-negative"
+        raise EvalError(f"experiment config field '{key}' must be {wanted}, got {raw!r}")
+    return value
+
+
 def run_experiment(
     config: dict,
     base_dir: str = ".",
@@ -453,18 +475,20 @@ def run_experiment(
     any ``jobs`` value: parallel workers only change wall-clock order, results
     are collected by episode index.
     """
+    master_seed = _config_number(config, "master_seed", 0, int, positive=False)
+    resolution = _config_number(config, "grid_resolution_m", 0.1, float, positive=True)
+    inflation = _config_number(config, "inflation_radius_m", 0.25, float, positive=False)
+    start_count = _config_number(config, "starts", 1, int, positive=True)
+    try:
+        profile = DetectionProfile.from_dict(config.get("profile", {}))
+    except (TypeError, ValueError) as exc:
+        raise EvalError(f"experiment config field 'profile': {exc}") from exc
     m, world = load_experiment_inputs(config, base_dir)
-    master_seed = int(config.get("master_seed", 0))
-    profile = DetectionProfile.from_dict(config.get("profile", {}))
     backend = make_backend(config.get("backend", {"kind": "heuristic"}))
     map_mode = config.get("map_mode", "full")
-    resolution = float(config.get("grid_resolution_m", 0.1))
-    inflation = float(config.get("inflation_radius_m", 0.25))
 
     queries = _expand_queries(config, world, m)
-    starts = sample_starts(
-        m, world, int(config.get("starts", 1)), master_seed, resolution, inflation
-    )
+    starts = sample_starts(m, world, start_count, master_seed, resolution, inflation)
 
     episode_configs: list[EpisodeConfig] = []
     index = 0

@@ -206,15 +206,9 @@ class SemanticMap:
                 out.append((p.x, p.y))
         return out
 
-    def semantic_nodes(self, area_id: int | None = None) -> list[MapNode]:
-        nodes = [n for n in self.nodes.values() if n.is_semantic]
-        if area_id is not None:
-            nodes = [
-                n
-                for n in nodes
-                if (parent := self.node_parent_area(n)) is not None and parent.id == area_id
-            ]
-        return sorted(nodes, key=lambda n: n.id)
+    def semantic_nodes(self) -> list[MapNode]:
+        """Every object and viewpoint node of the map, in id order."""
+        return sorted((n for n in self.nodes.values() if n.is_semantic), key=lambda n: n.id)
 
     def node_metric(self, node_id: int) -> MetricPoint:
         return project(self.nodes[node_id].position, self.projection_origin)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .llm import CompletionRequest, TextBackend, complete
-from .osmag import SemanticMap
+from .osmag import MapNode, SemanticMap
 
 TASK_HEADER = "=== TASK ==="
 MAP_HEADER = "=== MAP ==="
@@ -122,6 +122,10 @@ def simplify_map(m: SemanticMap, mode: str = "full") -> str:
 
     ``rooms_only`` omits every object/viewpoint node, keeping only areas and
     their descriptions (the sparse variant for token-constrained deployments).
+    ``full`` makes one pass over the semantic nodes, resolving each node's
+    parent once, so the cost grows with the map, not with areas x nodes.
+    Nodes whose parent does not resolve, or whose area is not reachable from
+    a root (a parent cycle), are left out.
     """
     if mode not in ("full", "rooms_only"):
         raise ValueError(f"unknown simplify mode '{mode}'")
@@ -133,6 +137,13 @@ def simplify_map(m: SemanticMap, mode: str = "full") -> str:
     for ids in children.values():
         ids.sort()
 
+    nodes_by_area: dict[int, list[MapNode]] = {}
+    if mode == "full":
+        for node in m.semantic_nodes():
+            parent = m.node_parent_area(node)
+            if parent is not None:
+                nodes_by_area.setdefault(parent.id, []).append(node)
+
     lines: list[str] = []
 
     def emit(area_id: int, depth: int) -> None:
@@ -143,13 +154,12 @@ def simplify_map(m: SemanticMap, mode: str = "full") -> str:
         lines.append(f"{pad}- area {area.id} ({name}){floor}")
         if area.description:
             lines.append(f"{pad}  description: {area.description}")
-        if mode == "full":
-            for node in m.semantic_nodes(area.id):
-                if node.object_name is not None:
-                    lines.append(f'{pad}  - node {node.id}: object "{node.object_name}"')
-                else:
-                    observed = "; ".join(node.observed_objects)
-                    lines.append(f'{pad}  - node {node.id}: observed "{observed}"')
+        for node in nodes_by_area.get(area_id, []):
+            if node.object_name is not None:
+                lines.append(f'{pad}  - node {node.id}: object "{node.object_name}"')
+            else:
+                observed = "; ".join(node.observed_objects)
+                lines.append(f'{pad}  - node {node.id}: observed "{observed}"')
         for child in children.get(area_id, []):
             emit(child, depth + 1)
 

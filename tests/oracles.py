@@ -1,8 +1,9 @@
 """Independent oracle implementations used to check the library under test.
 
 Everything here is a second code path on purpose: plain Dijkstra instead of
-A*, winding numbers instead of even-odd crossing, and direct arithmetic over
-record dicts instead of the evalkit fold. Keep these free of imports from the
+A*, winding numbers instead of even-odd crossing, direct arithmetic over
+record dicts instead of the evalkit fold, and a per-area scan of raw tags
+instead of the one-pass map simplification. Keep these free of imports from the
 package's corresponding modules' internals.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 
 ROOT2 = math.sqrt(2.0)
 
@@ -181,3 +183,52 @@ def bf_dir(recs: list[dict], mode: str, radius: float = 1.0) -> float:
     if mode == "all_queries":
         return len(recovered) / len(recs) if recs else 0.0
     return len(recovered) / len(failed) if failed else 0.0
+
+
+# ---------------------------------------------------------------------------
+# per-area scan of the map text shown to the LLM
+
+
+def bf_simplify_map(m, mode: str = "full") -> str:
+    """The simplified-map text built area by area, scanning every node for
+    each area and resolving ``parent`` tags from the raw ``areas``/``nodes``
+    dicts (an id, else a unique area name)."""
+
+    def resolve(ref):
+        if ref is None:
+            return None
+        text = ref.strip()
+        if re.fullmatch(r"-?\d+", text) and int(text) in m.areas:
+            return int(text)
+        named = [aid for aid, area in m.areas.items() if area.tags.get("name") == text]
+        return named[0] if len(named) == 1 else None
+
+    lines: list[str] = []
+
+    def emit(aid: int, depth: int) -> None:
+        tags = m.areas[aid].tags
+        pad = "  " * depth
+        floor = f" [floor {tags['osmAG:level']}]" if "osmAG:level" in tags else ""
+        lines.append(f"{pad}- area {aid} ({tags.get('name') or ''}){floor}")
+        if tags.get("semantic_osmAG:room_description"):
+            lines.append(f"{pad}  description: {tags['semantic_osmAG:room_description']}")
+        if mode == "full":
+            for nid in sorted(m.nodes):
+                node_tags = m.nodes[nid].tags
+                if resolve(node_tags.get("parent")) != aid:
+                    continue
+                if "semantic_osmAG:object_name" in node_tags:
+                    lines.append(
+                        f'{pad}  - node {nid}: object "{node_tags["semantic_osmAG:object_name"]}"'
+                    )
+                elif "semantic_osmAG:observed_object" in node_tags:
+                    items = node_tags["semantic_osmAG:observed_object"].split(";")
+                    observed = "; ".join(item.strip() for item in items if item.strip())
+                    lines.append(f'{pad}  - node {nid}: observed "{observed}"')
+        children = [c for c in m.areas if resolve(m.areas[c].tags.get("parent")) == aid]
+        for child in sorted(children):
+            emit(child, depth + 1)
+
+    for root in sorted(a for a in m.areas if resolve(m.areas[a].tags.get("parent")) is None):
+        emit(root, 0)
+    return "\n".join(lines)

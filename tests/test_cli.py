@@ -177,6 +177,35 @@ def test_simulate_then_eval(fixture_files, capsys):
     assert csv_out.read_text().startswith("slice,")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("grid_resolution_m", 0),
+        ("grid_resolution_m", -0.1),
+        ("grid_resolution_m", float("nan")),
+        ("profile", {"p_propose_tp": 1.0, "bogus": 1}),
+        ("starts", "many"),
+        ("master_seed", -1),
+    ],
+)
+def test_simulate_bad_config_field_is_config_error(tmp_path, capsys, field, value):
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    (tmp_path / "world.json").write_text(json.dumps(five_room_world().to_dict()), encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json", field: value})
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    records_out = tmp_path / "records.jsonl"
+    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
+    assert not records_out.exists()
+
+
 def test_demo_seed_reproducible(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

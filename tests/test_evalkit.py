@@ -24,6 +24,7 @@ from osmag_nav.evalkit import (
     run_experiment,
     sample_starts,
 )
+from osmag_nav.geometry import MetricPoint
 from osmag_nav.osmag import serialize_osmag
 
 
@@ -311,6 +312,73 @@ def test_generate_queries_unrealizable_category(enriched_map):
     empty_world = WorldModel([], [], SensorConfig())
     with pytest.raises(QueryGenerationError):
         generate_queries(empty_world, enriched_map, "o", "SO")
+
+
+def _mapgen_world(m, seed):
+    """World for a tests/mapgen.py map: per mapped label, an instance near one
+    of its nodes (SO), one far from all of them (RO) or between (neither),
+    plus labels the map never names (UO)."""
+    import random
+
+    from osmag_nav.gridworld import ObjectInstance, SensorConfig, WorldModel
+
+    rng = random.Random(seed)
+    instances = []
+    for node in m.semantic_nodes():
+        p = m.node_metric(node.id)
+        for label in [node.object_name] if node.object_name else node.observed_objects:
+            offset = rng.choice([0.3, 1.5, 6.0])
+            instances.append(ObjectInstance(label, MetricPoint(p.x + offset, p.y)))
+    for i in range(rng.randint(1, 3)):
+        instances.append(ObjectInstance(f"unmapped thing {i}", MetricPoint(1.0 + i, 1.0)))
+    return WorldModel([], instances, SensorConfig())
+
+
+def _suite_pairs(enriched_map, demo_world):
+    import mapgen
+
+    pairs = [(demo_world, enriched_map)]
+    for seed in range(8):
+        m = mapgen.synthetic_map(seed)
+        pairs.append((_mapgen_world(m, seed), m))
+    return pairs
+
+
+def test_generate_queries_matches_categorize_label(enriched_map, demo_world):
+    from osmag_nav.osmag import containing_area_metric
+
+    for world, m in _suite_pairs(enriched_map, demo_world):
+        labels = sorted({inst.label for inst in world.instances}, key=lambda s: s.strip().lower())
+        for category in CATEGORIES:
+            expected = [label for label in labels if categorize_label(world, m, label) == category]
+            for granularity in ("o", "or", "orf"):
+                wanted = [
+                    label
+                    for label in expected
+                    if granularity == "o"
+                    or containing_area_metric(m, world.instances_of(label)[0][1].position) is not None
+                ]
+                if not wanted:
+                    with pytest.raises(QueryGenerationError):
+                        generate_queries(world, m, granularity, category)
+                    continue
+                queries = generate_queries(world, m, granularity, category)
+                assert [q.object for q in queries] == wanted
+
+
+def test_generate_queries_scans_the_map_once(enriched_map, demo_world, monkeypatch):
+    import osmag_nav.evalkit as evalkit
+
+    calls = []
+    scan = evalkit._mapped_label_positions
+
+    def counted(m):
+        calls.append(m)
+        return scan(m)
+
+    monkeypatch.setattr(evalkit, "_mapped_label_positions", counted)
+    generate_queries(demo_world, enriched_map, "orf", "SO")
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

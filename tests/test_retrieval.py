@@ -98,6 +98,63 @@ def test_simplify_nested_indentation():
     assert room_line.startswith("  ")
 
 
+def _oracle_map():
+    """Nested areas, name and id parents, an unresolved parent, a semantic node
+    without a parent tag, an area without semantic nodes, and a parent cycle."""
+    import mapgen
+    from osmag_nav.osmag import LEVEL_KEY, NAME_KEY, OBJECT_KEY, OBSERVED_KEY, PARENT_KEY
+
+    b = mapgen._Builder()
+    b.rect_area(100, 0.0, 0.0, 12.0, 6.0, {NAME_KEY: "floor", LEVEL_KEY: "1"})
+    b.rect_area(101, 0.0, 0.0, 6.0, 6.0, {NAME_KEY: "west room", PARENT_KEY: "100"})
+    b.rect_area(102, 6.0, 0.0, 12.0, 6.0, {NAME_KEY: "east room", PARENT_KEY: "floor"})
+    b.rect_area(103, 0.0, 3.0, 3.0, 6.0, {NAME_KEY: "closet", PARENT_KEY: " west room "})
+    b.rect_area(104, 20.0, 0.0, 24.0, 4.0, {NAME_KEY: "loop a", PARENT_KEY: "105"})
+    b.rect_area(105, 24.0, 0.0, 28.0, 4.0, {NAME_KEY: "loop b", PARENT_KEY: "104"})
+    b.node(1.0, 1.0, {OBJECT_KEY: "lamp", PARENT_KEY: "west room"})
+    b.node(7.0, 1.0, {OBSERVED_KEY: "fan; ;kettle", PARENT_KEY: "102"})
+    b.node(8.0, 2.0, {OBJECT_KEY: "router", PARENT_KEY: "999"})
+    b.node(9.0, 2.0, {OBJECT_KEY: "heater"})
+    b.node(1.0, 4.0, {OBJECT_KEY: "vacuum", PARENT_KEY: "103"})
+    b.node(2.0, 1.0, {OBSERVED_KEY: "plant", PARENT_KEY: "101"})
+    b.node(21.0, 1.0, {OBJECT_KEY: "tripod", PARENT_KEY: "104"})
+    b.node(2.5, 2.5, {PARENT_KEY: "101"})
+    return b.build()
+
+
+def test_simplify_matches_per_area_oracle():
+    import mapgen
+    import oracles
+
+    maps = [mapgen.synthetic_map(seed) for seed in range(10)] + [_oracle_map()]
+    for m in maps:
+        for mode in ("full", "rooms_only"):
+            assert simplify_map(m, mode).encode() == oracles.bf_simplify_map(m, mode).encode()
+    text = simplify_map(_oracle_map())
+    assert "router" not in text and "heater" not in text and "tripod" not in text
+    assert re.search(r'^      - node \d+: object "vacuum"$', text, re.M)
+    assert 'observed "fan; kettle"' in text
+
+
+def test_simplify_resolves_each_node_parent_once(monkeypatch):
+    import mapgen
+    from osmag_nav.osmag import SemanticMap
+
+    calls = []
+    resolve = SemanticMap.node_parent_area
+
+    def counted(self, node):
+        calls.append(node.id)
+        return resolve(self, node)
+
+    monkeypatch.setattr(SemanticMap, "node_parent_area", counted)
+    for m in [mapgen.synthetic_map(seed) for seed in range(8)] + [_oracle_map()]:
+        calls.clear()
+        simplify_map(m, "full")
+        assert len(calls) <= len(m.semantic_nodes())
+        assert len(calls) == len(set(calls))
+
+
 # ---------------------------------------------------------------------------
 # prompts
 
