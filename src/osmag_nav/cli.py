@@ -23,7 +23,7 @@ from .evalkit import (
     report_to_csv,
     run_experiment,
 )
-from .episode import read_records, write_records
+from .episode import EpisodeError, read_records, write_records
 from .gridworld import render_grid
 from .llm import BackendError, make_backend
 from .osmag import (
@@ -34,7 +34,7 @@ from .osmag import (
     serialize_osmag,
     validate,
 )
-from .retrieval import PlanError, Query, retrieve
+from .retrieval import MAP_MODES, PlanError, Query, retrieve
 
 EXIT_OK = 0
 EXIT_FAILURE = 1  # validation / plan failure
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", help="scripted backend fixture file")
     p.add_argument("--endpoint", help="live backend base URL")
     p.add_argument("--model", help="live backend model name")
-    p.add_argument("--mode", choices=["full", "rooms_only"], default="full")
+    p.add_argument("--mode", choices=MAP_MODES, default="full")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_query)
 
@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (json.JSONDecodeError, EvalError, BackendError) as exc:
+    except (json.JSONDecodeError, EvalError, EpisodeError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MapParseError, OsmagError, EnrichmentError, PlanError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gridworld import SensorConfig, WorldModel
+from .gridworld import WorldModel
 
 
 class DetectionConfigError(ValueError):
@@ -40,6 +40,10 @@ class DetectionProfile:
                 raise DetectionConfigError(f"{name}={value} outside [0, 1]")
         if self.fp_rate < 0.0:
             raise DetectionConfigError("fp_rate must be >= 0")
+        for name in ("conf_tp", "conf_fp"):
+            value = getattr(self, name)
+            if not (len(value) == 2 and all(map(math.isfinite, value)) and value[0] <= value[1]):
+                raise DetectionConfigError(f"{name}={value} must be two finite numbers, low <= high")
         if self.rotation_step_deg <= 0 or 360 % self.rotation_step_deg != 0:
             raise DetectionConfigError("rotation_step_deg must divide 360")
 
@@ -68,10 +72,6 @@ class DetectionProfile:
             "p_verify_fp": self.p_verify_fp,
             "rotation_step_deg": self.rotation_step_deg,
         }
-
-
-PERFECT_PROFILE = DetectionProfile()
-DISABLED_PROFILE = DetectionProfile(p_propose_tp=0.0, fp_rate=0.0)
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,11 @@ def _segment_blocks(
 def visible_instances(
     world: WorldModel,
     pose: tuple[float, float, float],
-    sensor: SensorConfig | None = None,
 ) -> list[int]:
-    """Instance indices within range, within the FOV half-angle of the heading,
-    and with an unobstructed line of sight."""
+    """Instance indices within range of ``world.sensor``, within its FOV
+    half-angle of the heading, and with an unobstructed line of sight."""
     x, y, heading = pose
-    cfg = sensor if sensor is not None else world.sensor
+    cfg = world.sensor
     half = cfg.fov_deg / 2.0
     out = []
     for i, inst in enumerate(world.instances):
@@ -153,7 +152,6 @@ def propose(
     query_object: str,
     profile: DetectionProfile,
     rng: np.random.Generator,
-    sensor: SensorConfig | None = None,
 ) -> list[Proposal]:
     """Confidence-ranked proposal list for one view.
 
@@ -163,7 +161,7 @@ def propose(
     x, y, _ = pose
     wanted = query_object.strip().lower()
     proposals: list[Proposal] = []
-    for idx in visible_instances(world, pose, sensor):
+    for idx in visible_instances(world, pose):
         inst = world.instances[idx]
         if inst.label.strip().lower() != wanted:
             continue
@@ -191,17 +189,9 @@ def detect_at_node(
     query_object: str,
     profile: DetectionProfile,
     rng: np.random.Generator,
-    sensor: SensorConfig | None = None,
-    proposer=None,
 ) -> DetectionOutcome:
     """Rotate through headings 0, step, ..., 360-step; stop at the first
-    accepted proposal (verified in confidence order).
-
-    ``proposer`` may be supplied to splice in externally produced proposal
-    lists: callable (world, pose, query_object, profile, rng, sensor) ->
-    list[Proposal]. The default is the stochastic model above.
-    """
-    make_proposals = proposer if proposer is not None else propose
+    accepted proposal (verified in confidence order)."""
     x, y = node_pose
     wanted = query_object.strip().lower()
     trace: list[dict] = []
@@ -209,7 +199,7 @@ def detect_at_node(
     for heading in range(0, 360, profile.rotation_step_deg):
         views += 1
         pose = (x, y, float(heading))
-        proposals = make_proposals(world, pose, query_object, profile, rng, sensor)
+        proposals = propose(world, pose, query_object, profile, rng)
         verdicts = []
         accepted: Proposal | None = None
         for prop in proposals:

@@ -120,9 +120,7 @@ def _describe_room(m: SemanticMap, rec: RoomDescriptionRecord, summarizer) -> No
     m.areas[rec.area_id].tags[DESCRIPTION_KEY] = summary
 
 
-def _merge_instances(
-    records: list[InstanceRecord], radius: float
-) -> tuple[list[InstanceRecord], int]:
+def _merge_instances(records: list[InstanceRecord]) -> tuple[list[InstanceRecord], int]:
     """Greedy same-label merge; merged record sits at the member mean."""
     merged: list[list[InstanceRecord]] = []
     for rec in records:
@@ -132,7 +130,7 @@ def _merge_instances(
                 continue
             cx = sum(g.centroid.x for g in group) / len(group)
             cy = sum(g.centroid.y for g in group) / len(group)
-            if math.hypot(rec.centroid.x - cx, rec.centroid.y - cy) < radius:
+            if math.hypot(rec.centroid.x - cx, rec.centroid.y - cy) < DEFAULT_MERGE_RADIUS_M:
                 target = group
                 break
         if target is None:
@@ -204,7 +202,6 @@ def ingest(
     m: SemanticMap,
     records: dict | str,
     summarizer=None,
-    merge_radius_m: float = DEFAULT_MERGE_RADIUS_M,
 ) -> tuple[SemanticMap, IngestReport]:
     """Apply a full records payload (dict or JSON text) to one copy of ``m``.
 
@@ -217,7 +214,7 @@ def ingest(
     instances, viewpoints, descriptions = parse_records(payload)
     report = IngestReport()
 
-    instances, report.merged_instances = _merge_instances(instances, merge_radius_m)
+    instances, report.merged_instances = _merge_instances(instances)
 
     out = m.copy()
 

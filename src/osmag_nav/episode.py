@@ -19,7 +19,6 @@ from .geometry import MetricPoint, point_in_ring
 from .gridworld import (
     DEFAULT_INFLATION_M,
     DEFAULT_RESOLUTION_M,
-    SensorConfig,
     WorldModel,
     navigate,
     render_grid,
@@ -47,7 +46,6 @@ class EpisodeConfig:
     map_mode: str = "full"
     grid_resolution_m: float = DEFAULT_RESOLUTION_M
     inflation_radius_m: float = DEFAULT_INFLATION_M
-    sensor: SensorConfig | None = None  # None: use the world's sensor
     start: MetricPoint | None = None  # None: use the world's start pose
     category: str | None = None  # SO / RO / UO annotation, carried into the record
 
@@ -177,12 +175,20 @@ def write_records(records: list[EpisodeRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[EpisodeRecord]:
+    """Records of a JSON-lines file; a line that is no episode record raises
+    :class:`EpisodeError` naming the file and the line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(EpisodeRecord.from_dict(json.loads(line)))
+            except KeyError as exc:
+                raise EpisodeError(f"{path} line {lineno}: episode record is missing field {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise EpisodeError(f"{path} line {lineno}: malformed episode record: {exc}") from exc
     return out
 
 
@@ -254,7 +260,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeRecord:
         record.failure_reason = "no start pose (neither config nor world provides one)"
         return record
 
-    sensor = cfg.sensor if cfg.sensor is not None else cfg.world.sensor
     map_grid = render_grid(cfg.map, cfg.grid_resolution_m)
     current_grid = map_grid
     current = start
@@ -266,7 +271,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeRecord:
             cfg.world,
             current,
             goal,
-            sensor=sensor,
             inflation_radius_m=cfg.inflation_radius_m,
         )
         record.driven_length_m += nav.driven_length
@@ -291,7 +295,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeRecord:
             cfg.query.object,
             cfg.profile,
             rng,
-            sensor=sensor,
         )
         visit.detection = outcome
         record.visits.append(visit)

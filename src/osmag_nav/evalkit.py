@@ -32,7 +32,7 @@ from .geometry import MetricPoint
 from .gridworld import FREE, WorldModel, inflate, render_grid
 from .llm import make_backend
 from .osmag import SemanticMap, containing_area_metric, map_size_bytes, parse_osmag
-from .retrieval import Query
+from .retrieval import MAP_MODES, Query
 
 SO = "SO"
 RO = "RO"
@@ -445,7 +445,10 @@ def load_experiment_inputs(config: dict, base_dir: str = ".") -> tuple[SemanticM
             raise EvalError(f"referenced file missing: {config[key]}")
     with open(resolve(config["map"]), "r", encoding="utf-8") as fh:
         m = parse_osmag(fh.read())
-    world = WorldModel.from_file(resolve(config["world"]))
+    try:
+        world = WorldModel.from_file(resolve(config["world"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EvalError(f"malformed world file {config['world']}: {type(exc).__name__}: {exc}") from exc
     return m, world
 
 
@@ -467,7 +470,6 @@ def run_experiment(
     config: dict,
     base_dir: str = ".",
     jobs: int = 1,
-    metrics_config: MetricsConfig | None = None,
 ) -> tuple[list[EpisodeRecord], MetricsReport]:
     """Run every (query x start) episode deterministically and aggregate.
 
@@ -483,9 +485,11 @@ def run_experiment(
         profile = DetectionProfile.from_dict(config.get("profile", {}))
     except (TypeError, ValueError) as exc:
         raise EvalError(f"experiment config field 'profile': {exc}") from exc
+    map_mode = config.get("map_mode", "full")
+    if map_mode not in MAP_MODES:
+        raise EvalError(f"experiment config field 'map_mode' must be one of {MAP_MODES}, got {map_mode!r}")
     m, world = load_experiment_inputs(config, base_dir)
     backend = make_backend(config.get("backend", {"kind": "heuristic"}))
-    map_mode = config.get("map_mode", "full")
 
     queries = _expand_queries(config, world, m)
     starts = sample_starts(m, world, start_count, master_seed, resolution, inflation)
@@ -517,5 +521,5 @@ def run_experiment(
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_episode, episode_configs))
 
-    report = compute_report(records, metrics_config, map_size=map_size_bytes(m))
+    report = compute_report(records, map_size=map_size_bytes(m))
     return records, report

@@ -130,17 +130,6 @@ def point_in_ring(
     return inside
 
 
-def ring_area(ring: list[tuple[float, float]]) -> float:
-    """Unsigned shoelace area of an open vertex ring."""
-    n = len(ring)
-    total = 0.0
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2.0
-
-
 def _segments_properly_intersect(
     p1: tuple[float, float],
     p2: tuple[float, float],

@@ -42,6 +42,9 @@ DEFAULT_RESOLUTION_M = 0.1
 DEFAULT_INFLATION_M = 0.25
 GOAL_SNAP_RADIUS_M = 0.5
 TICK_BUDGET_FACTOR = 10
+RENDER_MARGIN_M = 1.0  # free border around the map's bounding box
+# a passage endpoint within this of a wall line opens a gap in that wall
+PASSAGE_LATERAL_TOL_M = 0.05
 
 Cell = tuple[int, int]
 
@@ -290,9 +293,7 @@ def _bresenham(a: Cell, b: Cell) -> list[Cell]:
             y0 += sy
 
 
-def render_grid(
-    m: SemanticMap, resolution: float = DEFAULT_RESOLUTION_M, margin_m: float = 1.0
-) -> OccupancyGrid:
+def render_grid(m: SemanticMap, resolution: float = DEFAULT_RESOLUTION_M) -> OccupancyGrid:
     """Rasterize the map: polygon boundaries as 1-cell walls, passages as gaps.
 
     Semantic nodes never touch the grid; enriched and bare versions of the
@@ -307,9 +308,9 @@ def render_grid(
         raise OsmagError("map has no area geometry to render")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    origin = MetricPoint(min(xs) - margin_m, min(ys) - margin_m)
-    width = int(math.ceil((max(xs) - min(xs) + 2 * margin_m) / resolution)) + 1
-    height = int(math.ceil((max(ys) - min(ys) + 2 * margin_m) / resolution)) + 1
+    origin = MetricPoint(min(xs) - RENDER_MARGIN_M, min(ys) - RENDER_MARGIN_M)
+    width = int(math.ceil((max(xs) - min(xs) + 2 * RENDER_MARGIN_M) / resolution)) + 1
+    height = int(math.ceil((max(ys) - min(ys) + 2 * RENDER_MARGIN_M) / resolution)) + 1
     grid = OccupancyGrid(resolution, origin, np.full((height, width), FREE, dtype=np.uint8))
 
     for area in m.areas.values():
@@ -593,19 +594,20 @@ def navigate(
     world: WorldModel,
     start: MetricPoint,
     goal: MetricPoint,
-    sensor: SensorConfig | None = None,
     inflation_radius_m: float = DEFAULT_INFLATION_M,
-    tick_budget_factor: int = TICK_BUDGET_FACTOR,
 ) -> NavOutcome:
-    """Sense-replan-advance loop toward ``goal`` against the hidden world.
+    """Sense-replan-advance loop toward ``goal`` against the hidden world,
+    sensing with ``world.sensor``.
 
     Advances one cell per tick; replans whenever a newly sensed obstacle
     intersects the remaining path; fails (reached=False) when replanning finds
     no path or the tick budget runs out. Deterministic given (world, start,
     goal, config).
+
+    The robot never steps into an occupied cell: a planned path avoids every
+    raw-grid ``OCCUPIED`` cell, and afterwards a cell turns occupied only
+    through sensing, whose new cells are checked against the remaining path.
     """
-    if sensor is not None:
-        world = WorldModel(world.obstacles, world.instances, sensor, world.start)
     grid = map_grid.copy()
     start_cell = grid.cell_of(start.x, start.y)
     if not grid.in_bounds(start_cell) or grid.at(start_cell) == OCCUPIED:
@@ -623,7 +625,7 @@ def navigate(
     except NoPathError as exc:
         return NavOutcome(False, driven_path, 0.0, 0, grid, str(exc))
 
-    budget = max(tick_budget_factor * len(path.cells), 100)
+    budget = max(TICK_BUDGET_FACTOR * len(path.cells), 100)
     pose = start_cell
     heading = 0.0
     x, y = grid.center_of(pose)
@@ -660,18 +662,6 @@ def navigate(
                     return NavOutcome(False, driven_path, driven, replans, grid, str(exc))
                 step_idx = 0
                 continue
-        nxt = path.cells[step_idx + 1]
-        if grid.at(nxt) == OCCUPIED:
-            # Next cell itself turned occupied without intersecting the sensed
-            # delta check above (shouldn't happen, but never step into a wall).
-            replans += 1
-            planning = inflate(grid, inflation_radius_m)
-            try:
-                path = _plan_from(planning, grid, pose, goal_cell, halo_cells)
-            except NoPathError as exc:
-                return NavOutcome(False, driven_path, driven, replans, grid, str(exc))
-            step_idx = 0
-            continue
         diagonal = nxt[0] != pose[0] and nxt[1] != pose[1]
         driven += (ROOT2 if diagonal else 1.0) * grid.resolution
         pose = nxt
@@ -702,11 +692,11 @@ def _subtract_intervals(
     return out
 
 
-def walls_with_passage_gaps(m: SemanticMap, lateral_tol: float = 0.05) -> list[Obstacle]:
+def walls_with_passage_gaps(m: SemanticMap) -> list[Obstacle]:
     """World wall segments derived from area polygons, with passage spans cut out.
 
     Collinear overlap between a wall edge and a passage segment (within
-    ``lateral_tol`` meters) opens a gap; everything else stays solid.
+    ``PASSAGE_LATERAL_TOL_M``) opens a gap; everything else stays solid.
     """
     passage_edges: list[tuple[float, float, float, float]] = []
     for p in m.passages.values():
@@ -730,7 +720,7 @@ def walls_with_passage_gaps(m: SemanticMap, lateral_tol: float = 0.05) -> list[O
                 # both passage endpoints must lie near the wall line
                 d0 = abs((px0 - ax) * uy - (py0 - ay) * ux)
                 d1 = abs((px1 - ax) * uy - (py1 - ay) * ux)
-                if d0 > lateral_tol or d1 > lateral_tol:
+                if d0 > PASSAGE_LATERAL_TOL_M or d1 > PASSAGE_LATERAL_TOL_M:
                     continue
                 t0 = (px0 - ax) * ux + (py0 - ay) * uy
                 t1 = (px1 - ax) * ux + (py1 - ay) * uy

@@ -232,12 +232,22 @@ def _id_line(xml_text: str, element_id: int) -> int | None:
     return _line_of(xml_text, rf"""<(?:node|way)\b[^>]*\bid=["']{element_id}["']""")
 
 
+def _int_attr(el: ET.Element, attr: str, xml_text: str) -> int:
+    raw = el.get(attr, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        line = _line_of(xml_text, rf"""<{el.tag}\b[^>]*\b{attr}=["']{re.escape(raw)}["']""")
+        raise MapParseError(f"<{el.tag}> {attr} '{raw}' is not an integer", line=line) from None
+
+
 def parse_osmag(xml_text: str) -> SemanticMap:
     """Parse an osmAG XML document into a :class:`SemanticMap`.
 
     Raises :class:`MapParseError` with the offending element id and the line
-    where it is declared for malformed XML, dangling ``<nd>`` references,
-    duplicate ids, and ways without an ``osmAG:type`` tag.
+    where it is declared for malformed XML, non-integer ids and references,
+    dangling ``<nd>`` references, duplicate ids, and ways without an
+    ``osmAG:type`` tag.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -251,7 +261,7 @@ def parse_osmag(xml_text: str) -> SemanticMap:
 
     for el in root:
         if el.tag == "node":
-            nid = int(el.get("id", "0"))
+            nid = _int_attr(el, "id", xml_text)
             if nid in seen_ids:
                 raise MapParseError("duplicate id", element_id=nid, line=_id_line(xml_text, nid))
             seen_ids.add(nid)
@@ -264,11 +274,11 @@ def parse_osmag(xml_text: str) -> SemanticMap:
                 ) from exc
             nodes[nid] = MapNode(nid, pos, tags)
         elif el.tag == "way":
-            wid = int(el.get("id", "0"))
+            wid = _int_attr(el, "id", xml_text)
             if wid in seen_ids:
                 raise MapParseError("duplicate id", element_id=wid, line=_id_line(xml_text, wid))
             seen_ids.add(wid)
-            refs = [int(nd.get("ref", "0")) for nd in el.findall("nd")]
+            refs = [_int_attr(nd, "ref", xml_text) for nd in el.findall("nd")]
             tags = {t.get("k", ""): t.get("v", "") for t in el.findall("tag")}
             ways.append((wid, refs, tags))
 

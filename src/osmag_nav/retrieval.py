@@ -23,6 +23,7 @@ QUERY_HEADER = "=== QUERY ==="
 
 MAX_ROOMS = 3
 MAX_NODES_PER_ROOM = 3
+MAP_MODES = ("full", "rooms_only")
 
 CORRECTIVE_INSTRUCTION = (
     "Your previous answer could not be used. Reply with exactly one JSON object "
@@ -127,7 +128,7 @@ def simplify_map(m: SemanticMap, mode: str = "full") -> str:
     Nodes whose parent does not resolve, or whose area is not reachable from
     a root (a parent cycle), are left out.
     """
-    if mode not in ("full", "rooms_only"):
+    if mode not in MAP_MODES:
         raise ValueError(f"unknown simplify mode '{mode}'")
 
     children: dict[int | None, list[int]] = {}

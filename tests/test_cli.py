@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -186,6 +187,9 @@ def test_simulate_then_eval(fixture_files, capsys):
         ("profile", {"p_propose_tp": 1.0, "bogus": 1}),
         ("starts", "many"),
         ("master_seed", -1),
+        ("map_mode", "dense"),
+        ("profile", {"conf_tp": [0.9, 0.2]}),
+        ("profile", {"conf_fp": [0.9, 0.2]}),
     ],
 )
 def test_simulate_bad_config_field_is_config_error(tmp_path, capsys, field, value):
@@ -204,6 +208,53 @@ def test_simulate_bad_config_field_is_config_error(tmp_path, capsys, field, valu
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err and "Traceback" not in err
     assert not records_out.exists()
+
+
+def test_simulate_malformed_world_file_is_config_error(tmp_path, capsys):
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    world = five_room_world().to_dict()
+    del world["instances"][0]["x"]
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    (tmp_path / "world.json").write_text(json.dumps(world), encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json"})
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    records_out = tmp_path / "records.jsonl"
+    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "world.json" in err and "Traceback" not in err
+    assert not records_out.exists()
+
+
+@pytest.mark.parametrize(
+    "drop, extra, wanted",
+    [("granularity", {}, "granularity"), (None, {"visits": [5]}, "malformed")],
+)
+def test_eval_bad_record_is_config_error(tmp_path, capsys, drop, extra, wanted):
+    from osmag_nav.episode import EpisodeRecord
+
+    good = EpisodeRecord("sink", None, None, "o", None, "full", 0).to_dict()
+    bad = {**{k: v for k, v in good.items() if k != drop}, **extra}
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    assert main(["eval", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "records.jsonl line 2" in err and wanted in err and "Traceback" not in err
+
+
+def test_validate_non_integer_id_is_failure(fixture_files, capsys):
+    tmp_path, map_path, _ = fixture_files
+    bad = tmp_path / "bad_id.osm"
+    bad.write_text(re.sub(r'<node id="\d+"', '<node id="abc"', map_path.read_text(), count=1), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'abc'" in err and "line" in err and "Traceback" not in err
 
 
 def test_demo_seed_reproducible(tmp_path, capsys):

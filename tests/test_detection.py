@@ -157,20 +157,3 @@ def test_detect_perfect_profile_matches_visibility_oracle():
         )
         assert outcome.found == visible_any
 
-
-def test_pass_through_proposer():
-    world = _world([ObjectInstance("cup", MetricPoint(1.0, 0.0))])
-    calls = []
-
-    def external(world_, pose, query, profile_, rng_, sensor_=None):
-        calls.append(pose)
-        if pose[2] == 90.0:
-            return [Proposal(0.99, 0, 90.0)]
-        return []
-
-    profile = DetectionProfile(p_verify_tp=1.0)
-    outcome = detect_at_node(
-        world, (0.0, 0.0), "cup", profile, np.random.default_rng(0), proposer=external
-    )
-    assert outcome.found and outcome.views_used == 2
-    assert len(calls) == 2

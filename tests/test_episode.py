@@ -183,3 +183,20 @@ def test_unreachable_node_skipped_without_detection(enriched_map, heuristic_back
     assert not sink_visit.reached
     assert sink_visit.detection is None
     assert sink_visit.failure_reason
+
+
+def test_run_episode_builds_no_world_model(monkeypatch, enriched_map, demo_world, heuristic_backend, demo_profile):
+    # every leg senses and detects with the episode's own world and its sensor
+    from osmag_nav.gridworld import WorldModel
+
+    built = []
+    init = WorldModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorldModel, "__init__", counting_init)
+    rec = run_episode(_cfg(enriched_map, demo_world, heuristic_backend, demo_profile, Query("robot dog")))
+    assert len(rec.visits) >= 2
+    assert built == []

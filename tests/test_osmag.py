@@ -86,6 +86,21 @@ def test_way_without_type_rejected():
     assert "osmAG:type" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ('<node id="2"', '<node id="abc"', 4),
+        ('<way id="10">', '<way id="w10">', 7),
+        ('<nd ref="3"/>', '<nd ref="x1"/>', 10),
+    ],
+)
+def test_non_integer_id_reports_line(old, new, line):
+    with pytest.raises(MapParseError) as err:
+        parse_osmag(MINIMAL_DOC.replace(old, new))
+    assert err.value.line == line
+    assert "not an integer" in str(err.value)
+
+
 def test_malformed_xml_rejected():
     with pytest.raises(MapParseError):
         parse_osmag("<osm><node id=1></osm>")
