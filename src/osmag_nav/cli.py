@@ -16,14 +16,15 @@ import sys
 from . import fixtures
 from .enrichment import EnrichmentError, ingest
 from .evalkit import (
+    DIR_MODES,
     EvalError,
-    MetricsConfig,
     apl as apl_metric,
     compute_report,
     report_to_csv,
     run_experiment,
 )
 from .episode import EpisodeError, read_records, write_records
+from .geometry import GeometryError
 from .gridworld import render_grid
 from .llm import BackendError, make_backend
 from .osmag import (
@@ -155,21 +156,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     records = read_records(args.records)
-    cfg = MetricsConfig(dir_mode=args.dir_mode)
     size = None
     if args.map:
         size = map_size_bytes(parse_osmag(_read_text(args.map)))
-    report = compute_report(records, cfg, map_size=size)
+    report = compute_report(records, map_size=size)
     payload = report.to_dict()
     if args.apl_intersect:
-        baseline_keys = set(json.loads(_read_text(args.apl_intersect)))
-        mean, count = apl_metric(records, cfg.apl_success_radius_m, baseline_keys)
+        baseline_keys = json.loads(_read_text(args.apl_intersect))
+        if not (isinstance(baseline_keys, list) and all(isinstance(k, str) for k in baseline_keys)):
+            raise EvalError(f"{args.apl_intersect}: --apl-intersect needs a JSON list of record keys")
+        mean, count = apl_metric(records, set(baseline_keys))
         payload["apl_intersected_m"] = mean
         payload["apl_intersected_count"] = count
     if args.output:
         _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.csv:
-        _write_text(args.csv, report_to_csv(report, cfg))
+        _write_text(args.csv, report_to_csv(report, args.dir_mode))
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the report JSON here")
     p.add_argument("--csv", help="also write a results-table CSV here")
     p.add_argument("--map", help="map file to measure for the map-size metric")
-    p.add_argument("--dir-mode", choices=["all_queries", "failed_only"], default="all_queries")
+    p.add_argument("--dir-mode", choices=DIR_MODES, default="all_queries")
     p.add_argument(
         "--apl-intersect",
         help="JSON file with a baseline's success keys; restricts APL to episodes both systems solved",
@@ -321,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except (json.JSONDecodeError, EvalError, EpisodeError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MapParseError, OsmagError, EnrichmentError, PlanError) as exc:
+    except (MapParseError, OsmagError, EnrichmentError, PlanError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -89,15 +89,6 @@ class DetectionOutcome:
     is_true_positive: bool
     trace: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "matched_instance": self.matched_instance,
-            "views_used": self.views_used,
-            "is_true_positive": self.is_true_positive,
-            "trace": self.trace,
-        }
-
 
 def _wrap_deg(angle: float) -> float:
     return (angle + 180.0) % 360.0 - 180.0

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import llm
-from .geometry import MetricPoint
+from .geometry import MAX_SUPPORTED_LAT, GeometryError, MetricPoint
 from .osmag import (
     DESCRIPTION_KEY,
     OBJECT_KEY,
@@ -88,7 +88,12 @@ class IngestReport:
 
 def _add_node(m: SemanticMap, where: MetricPoint, key: str, value: str, what: str) -> None:
     """Insert one semantic node into ``m`` in place, parented to the area containing ``where``."""
-    area_id = containing_area_metric(m, where)
+    try:
+        area_id = containing_area_metric(m, where)
+    except GeometryError:
+        if abs(m.projection_origin.lat) >= MAX_SUPPORTED_LAT:
+            raise  # the map itself cannot be projected
+        area_id = None  # no latitude/longitude represents the point
     if area_id is None:
         raise OrphanRecordError(f"{what} at ({where.x:.2f}, {where.y:.2f}) lies outside every area")
     nid = m.next_free_node_id()
@@ -150,6 +155,14 @@ def _merge_instances(records: list[InstanceRecord]) -> tuple[list[InstanceRecord
     return out, merges
 
 
+def _string_list(item: dict, key: str) -> tuple[str, ...]:
+    """``item[key]``, which must be a JSON array, as a tuple of strings."""
+    value = item[key]
+    if not isinstance(value, list):
+        raise TypeError(f"'{key}' must be a list, got {value!r}")
+    return tuple(str(v) for v in value)
+
+
 def parse_records(payload: dict) -> tuple[
     list[InstanceRecord], list[ViewpointRecord], list[RoomDescriptionRecord]
 ]:
@@ -179,7 +192,7 @@ def parse_records(payload: dict) -> tuple[
                 ViewpointRecord(
                     capture_pose=MetricPoint(float(item["x"]), float(item["y"])),
                     heading_deg=float(item.get("heading_deg", 0.0)),
-                    observed=tuple(str(o) for o in item["observed"]),
+                    observed=_string_list(item, "observed"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -190,7 +203,7 @@ def parse_records(payload: dict) -> tuple[
             descriptions.append(
                 RoomDescriptionRecord(
                     area_id=int(item["area_id"]),
-                    descriptions=tuple(str(d) for d in item["descriptions"]),
+                    descriptions=_string_list(item, "descriptions"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ spurious accept ends the trial as a recorded failure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,17 +60,6 @@ class VisitRecord:
     failure_reason: str | None = None
     detection: DetectionOutcome | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "room_id": self.room_id,
-            "reached": self.reached,
-            "driven_length_m": self.driven_length_m,
-            "replans": self.replans,
-            "failure_reason": self.failure_reason,
-            "detection": self.detection.to_dict() if self.detection else None,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "VisitRecord":
         det = data.get("detection")
@@ -117,28 +106,7 @@ class EpisodeRecord:
     failure_reason: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "query_object": self.query_object,
-            "query_room": self.query_room,
-            "query_floor": self.query_floor,
-            "granularity": self.granularity,
-            "category": self.category,
-            "map_mode": self.map_mode,
-            "seed": self.seed,
-            "plan_rooms": self.plan_rooms,
-            "plan_drops": self.plan_drops,
-            "plan_nodes": self.plan_nodes,
-            "rank1_room_id": self.rank1_room_id,
-            "rank1_room_contains_gt": self.rank1_room_contains_gt,
-            "visits": [v.to_dict() for v in self.visits],
-            "driven_length_m": self.driven_length_m,
-            "success": self.success,
-            "success_node_id": self.success_node_id,
-            "success_node_distance_m": self.success_node_distance_m,
-            "gt_positions": self.gt_positions,
-            "failure_reason": self.failure_reason,
-        }
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

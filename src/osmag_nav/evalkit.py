@@ -22,7 +22,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,13 @@ GRANULARITIES = ("o", "or", "orf")
 SO_NODE_RADIUS_M = 1.0  # static: instance within this of a mapped node
 RO_NODE_RADIUS_M = 2.0  # relocated: instance beyond this from every mapped node
 
+# The paper's fixed evaluation thresholds.
+K_THRESHOLDS_M = (1.0, 2.0, 3.0)  # O-RSR distance thresholds, ascending
+TOP_N = (1, 5)  # O-RSR over the top-1 and top-5 plan nodes
+APL_SUCCESS_RADIUS_M = 1.0  # a success counts for APL when its node is this close to GT
+DIR_RADIUS_M = 1.0  # a retrieval initially failed when every top-5 node is farther
+DIR_MODES = ("all_queries", "failed_only")  # a report carries both
+
 
 class EvalError(Exception):
     pass
@@ -50,23 +57,6 @@ class EvalError(Exception):
 
 class QueryGenerationError(EvalError):
     pass
-
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    k_thresholds: tuple[float, ...] = (1.0, 2.0, 3.0)
-    n_values: tuple[int, ...] = (1, 5)
-    apl_success_radius_m: float = 1.0
-    dir_mode: str = "all_queries"  # or "failed_only"; report always carries both
-    dir_radius_m: float = 1.0
-
-    def __post_init__(self) -> None:
-        if any(k <= 0 for k in self.k_thresholds):
-            raise EvalError("k thresholds must be positive")
-        if list(self.k_thresholds) != sorted(self.k_thresholds):
-            raise EvalError("k thresholds must be ascending")
-        if self.dir_mode not in ("all_queries", "failed_only"):
-            raise EvalError(f"unknown dir mode '{self.dir_mode}'")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +119,6 @@ def record_key(rec: EpisodeRecord) -> str:
 
 def apl(
     records: list[EpisodeRecord],
-    success_radius_m: float = 1.0,
     baseline_success_keys: set[str] | None = None,
 ) -> tuple[float | None, int]:
     """Mean driven length over qualifying successes; (None, 0) when none qualify.
@@ -144,7 +133,7 @@ def apl(
         for rec in records
         if rec.success
         and rec.success_node_distance_m is not None
-        and rec.success_node_distance_m <= success_radius_m
+        and rec.success_node_distance_m <= APL_SUCCESS_RADIUS_M
     ]
     if baseline_success_keys is not None:
         qualifying = [rec for rec in qualifying if record_key(rec) in baseline_success_keys]
@@ -154,17 +143,15 @@ def apl(
     return sum(lengths) / len(lengths), len(lengths)
 
 
-def initially_failed(rec: EpisodeRecord, radius_m: float = 1.0) -> bool:
+def initially_failed(rec: EpisodeRecord) -> bool:
     d = _top_n_min_distance(rec, 5)
-    return d is None or d > radius_m
+    return d is None or d > DIR_RADIUS_M
 
 
-def dir_rate(
-    records: list[EpisodeRecord], mode: str = "all_queries", radius_m: float = 1.0
-) -> float:
+def dir_rate(records: list[EpisodeRecord], mode: str = "all_queries") -> float:
     """Detection improvement: initially-failed retrievals recovered by a
     true-positive detection."""
-    failed = [r for r in records if initially_failed(r, radius_m)]
+    failed = [r for r in records if initially_failed(r)]
     recovered = [r for r in failed if r.success]
     if mode == "all_queries":
         return len(recovered) / len(records) if records else 0.0
@@ -192,30 +179,16 @@ class MetricsReport:
     by_granularity: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "r_rsr": self.r_rsr,
-            "o_rsr": self.o_rsr,
-            "amd_m": self.amd_m,
-            "amd_excluded": self.amd_excluded,
-            "apl_m": self.apl_m,
-            "apl_count": self.apl_count,
-            "dir": self.dir,
-            "map_size_bytes": self.map_size_bytes,
-            "by_category": self.by_category,
-            "by_granularity": self.by_granularity,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _metric_block(records: list[EpisodeRecord], cfg: MetricsConfig) -> dict:
-    o_matrix: dict[str, dict[str, float]] = {}
-    for n in cfg.n_values:
-        o_matrix[str(n)] = {f"{k:g}": o_rsr(records, n, k) for k in cfg.k_thresholds}
+def _metric_block(records: list[EpisodeRecord]) -> dict:
+    o_matrix = {str(n): {f"{k:g}": o_rsr(records, n, k) for k in K_THRESHOLDS_M} for n in TOP_N}
     amd_value, amd_excluded = amd(records)
-    apl_value, apl_count = apl(records, cfg.apl_success_radius_m)
+    apl_value, apl_count = apl(records)
     return {
         "episodes": len(records),
         "r_rsr": r_rsr(records),
@@ -224,49 +197,36 @@ def _metric_block(records: list[EpisodeRecord], cfg: MetricsConfig) -> dict:
         "amd_excluded": amd_excluded,
         "apl_m": apl_value,
         "apl_count": apl_count,
-        "dir": {
-            "all_queries": dir_rate(records, "all_queries", cfg.dir_radius_m),
-            "failed_only": dir_rate(records, "failed_only", cfg.dir_radius_m),
-        },
+        "dir": {mode: dir_rate(records, mode) for mode in DIR_MODES},
     }
 
 
-def compute_report(
-    records: list[EpisodeRecord],
-    cfg: MetricsConfig | None = None,
-    map_size: int | None = None,
-) -> MetricsReport:
-    cfg = cfg or MetricsConfig()
-    block = _metric_block(records, cfg)
-    by_category = {}
-    for category in sorted({r.category for r in records if r.category}):
-        by_category[category] = _metric_block([r for r in records if r.category == category], cfg)
-    by_granularity = {}
-    for gran in sorted({r.granularity for r in records}):
-        by_granularity[gran] = _metric_block([r for r in records if r.granularity == gran], cfg)
+def compute_report(records: list[EpisodeRecord], map_size: int | None = None) -> MetricsReport:
+    by_category = {
+        category: _metric_block([r for r in records if r.category == category])
+        for category in sorted({r.category for r in records if r.category})
+    }
+    by_granularity = {
+        gran: _metric_block([r for r in records if r.granularity == gran])
+        for gran in sorted({r.granularity for r in records})
+    }
     return MetricsReport(
-        episodes=block["episodes"],
-        r_rsr=block["r_rsr"],
-        o_rsr=block["o_rsr"],
-        amd_m=block["amd_m"],
-        amd_excluded=block["amd_excluded"],
-        apl_m=block["apl_m"],
-        apl_count=block["apl_count"],
-        dir=block["dir"],
+        **_metric_block(records),
         map_size_bytes=map_size,
         by_category=by_category,
         by_granularity=by_granularity,
     )
 
 
-def report_to_csv(report: MetricsReport, cfg: MetricsConfig | None = None) -> str:
-    """One row per slice, mirroring the common results-table column layout."""
-    cfg = cfg or MetricsConfig()
-    ks = [f"{k:g}" for k in cfg.k_thresholds]
+def report_to_csv(report: MetricsReport, dir_mode: str = "all_queries") -> str:
+    """One row per slice, mirroring the common results-table column layout;
+    ``dir_mode`` picks which of the report's two DIR values the DIR column shows."""
+    if dir_mode not in DIR_MODES:
+        raise EvalError(f"unknown dir mode '{dir_mode}'")
+    o_cells = [(str(n), f"{k:g}") for n in reversed(TOP_N) for k in K_THRESHOLDS_M]
     header = (
         ["slice", "episodes", "R-RSR"]
-        + [f"O-RSR_top5@{k}m" for k in ks]
-        + [f"O-RSR_top1@{k}m" for k in ks]
+        + [f"O-RSR_top{n}@{k}m" for n, k in o_cells]
         + ["AMD_m", "DIR", "APL_m"]
     )
 
@@ -280,9 +240,8 @@ def report_to_csv(report: MetricsReport, cfg: MetricsConfig | None = None) -> st
     def row(label: str, block: dict) -> list[str]:
         return (
             [label, str(block["episodes"]), fmt(block["r_rsr"])]
-            + [fmt(block["o_rsr"].get("5", {}).get(k)) for k in ks]
-            + [fmt(block["o_rsr"].get("1", {}).get(k)) for k in ks]
-            + [fmt(block["amd_m"]), fmt(block["dir"][cfg.dir_mode]), fmt(block["apl_m"])]
+            + [fmt(block["o_rsr"][n][k]) for n, k in o_cells]
+            + [fmt(block["amd_m"]), fmt(block["dir"][dir_mode]), fmt(block["apl_m"])]
         )
 
     buffer = io.StringIO()
@@ -415,16 +374,30 @@ def sample_starts(
     return starts
 
 
+def _config_objects(config: dict, key: str) -> list[dict]:
+    """``config[key]`` as a list of JSON objects, or an :class:`EvalError`
+    naming the field and the index of the first bad entry."""
+    items = config.get(key, [])
+    if not isinstance(items, list):
+        raise EvalError(f"experiment config field '{key}' must be a list, got {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise EvalError(f"experiment config field '{key}[{i}]' must be an object, got {item!r}")
+    return items
+
+
 def _expand_queries(config: dict, world: WorldModel, m: SemanticMap) -> list[tuple[Query, str | None]]:
     expanded: list[tuple[Query, str | None]] = []
-    for item in config.get("queries", []):
+    for i, item in enumerate(_config_objects(config, "queries")):
+        if "object" not in item:
+            raise EvalError(f"experiment config field 'queries[{i}]' is missing 'object'")
         q = Query(
             object=str(item["object"]),
             room=item.get("room"),
             floor=item.get("floor"),
         )
         expanded.append((q, item.get("category")))
-    for suite in config.get("generate", []):
+    for suite in _config_objects(config, "generate"):
         category = suite.get("category", SO)
         granularity = suite.get("granularity", "o")
         for q in generate_queries(world, m, granularity, category):

@@ -173,12 +173,16 @@ class LiveBackend(TextBackend):
 
 def make_backend(spec: dict) -> TextBackend:
     """Build a backend from a config dict: {"kind": "live"|"scripted"|"heuristic", ...}."""
+    if not isinstance(spec, dict):
+        raise BackendError(f"backend spec must be an object, got {spec!r}")
     kind = spec.get("kind", "heuristic")
     if kind == "scripted":
         if "fixtures_file" in spec:
             return ScriptedBackend.from_file(spec["fixtures_file"])
         return ScriptedBackend(spec.get("fixtures", {}))
     if kind == "live":
+        if "endpoint" not in spec:
+            raise BackendError("live backend needs an 'endpoint'")
         return LiveBackend(
             endpoint=spec["endpoint"],
             model=spec.get("model", "gpt-4o"),

@@ -307,7 +307,7 @@ def parse_osmag(xml_text: str) -> SemanticMap:
                 line=_id_line(xml_text, wid),
             )
 
-    origin = _parse_origin(root, nodes)
+    origin = _parse_origin(root, nodes, xml_text)
     partial = SemanticMap(nodes, areas, {}, origin)
 
     passages: dict[int, Passage] = {}
@@ -318,10 +318,13 @@ def parse_osmag(xml_text: str) -> SemanticMap:
     return SemanticMap(nodes, areas, passages, origin)
 
 
-def _parse_origin(root: ET.Element, nodes: dict[int, MapNode]) -> GeoPoint:
+def _parse_origin(root: ET.Element, nodes: dict[int, MapNode], xml_text: str) -> GeoPoint:
     lat_attr, lon_attr = root.get("origin_lat"), root.get("origin_lon")
     if lat_attr is not None and lon_attr is not None:
-        return GeoPoint(float(lat_attr), float(lon_attr))
+        try:
+            return GeoPoint(float(lat_attr), float(lon_attr))
+        except ValueError as exc:  # also GeometryError: a number off the globe
+            raise MapParseError(f"bad map origin: {exc}", line=_line_of(xml_text, rf"<{root.tag}\b")) from exc
     if not nodes:
         return GeoPoint(0.0, 0.0)
     return GeoPoint(

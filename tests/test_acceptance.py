@@ -17,7 +17,7 @@ from osmag_nav.cli import main as cli_main
 from osmag_nav.detection import DetectionProfile, Proposal, propose, verify
 from osmag_nav.enrichment import ingest
 from osmag_nav.episode import EpisodeRecord
-from osmag_nav.evalkit import MetricsConfig, compute_report, dir_rate, r_rsr, run_experiment
+from osmag_nav.evalkit import compute_report, dir_rate, r_rsr, run_experiment
 from osmag_nav.fixtures import (
     demo_experiment_config,
     enriched_five_room_map,
@@ -146,11 +146,10 @@ def test_c05_metric_oracle_equivalence_50_batches():
     from test_evalkit import synthetic_batch
 
     rng = np.random.default_rng(555)
-    cfg = MetricsConfig()
     for _ in range(50):
         batch = synthetic_batch(rng, int(rng.integers(4, 50)))
         dicts = [rec.to_dict() for rec in batch]
-        report = compute_report(batch, cfg)
+        report = compute_report(batch)
         assert report.r_rsr == oracles.bf_r_rsr(dicts)
         for n in (1, 5):
             ks = [1.0, 2.0, 3.0]

@@ -120,6 +120,18 @@ def test_render_nonpositive_resolution_is_config_error(fixture_files, capsys):
     assert not (tmp_path / "grid.pgm").exists()
 
 
+def test_render_map_beyond_supported_latitude_is_failure(fixture_files, capsys):
+    tmp_path, map_path, _ = fixture_files
+    polar = tmp_path / "polar.osm"
+    polar.write_text(map_path.read_text().replace('lat="31', 'lat="86'), encoding="utf-8")
+    assert main(["validate", str(polar)]) == 0
+    capsys.readouterr()
+    assert main(["render", str(polar), "-o", str(tmp_path / "grid.pgm")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "latitude" in err and "Traceback" not in err
+
+
 def test_render_map_without_areas_is_failure(tmp_path, capsys):
     from osmag_nav.osmag import SemanticMap
 
@@ -190,6 +202,11 @@ def test_simulate_then_eval(fixture_files, capsys):
         ("map_mode", "dense"),
         ("profile", {"conf_tp": [0.9, 0.2]}),
         ("profile", {"conf_fp": [0.9, 0.2]}),
+        ("queries", [{"room": "kitchen"}]),
+        ("queries", "sink"),
+        ("generate", "SO"),
+        ("backend", {"kind": "live"}),
+        ("backend", "live"),
     ],
 )
 def test_simulate_bad_config_field_is_config_error(tmp_path, capsys, field, value):
@@ -255,6 +272,75 @@ def test_validate_non_integer_id_is_failure(fixture_files, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'abc'" in err and "line" in err and "Traceback" not in err
+
+
+def test_validate_non_numeric_origin_is_failure(fixture_files, capsys):
+    tmp_path, map_path, _ = fixture_files
+    bad = tmp_path / "bad_origin.osm"
+    bad.write_text(map_path.read_text().replace('origin_lat="31"', 'origin_lat="abc"'), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "origin" in err and "'abc'" in err and "line 2" in err
+
+
+def test_query_live_without_endpoint_is_config_error(fixture_files, capsys, monkeypatch):
+    _, map_path, _ = fixture_files
+    monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
+    assert main(["query", str(map_path), "sink", "--backend", "live"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "endpoint" in err and "sk-test" not in err
+
+
+@pytest.mark.parametrize("keys", [5, {"sink||0": True}, ["sink||0", 3]])
+def test_eval_apl_intersect_needs_list_of_keys(tmp_path, capsys, keys):
+    from osmag_nav.episode import EpisodeRecord
+
+    records = tmp_path / "records.jsonl"
+    records.write_text(EpisodeRecord("sink", None, None, "o", None, "full", 0).to_json() + "\n", encoding="utf-8")
+    keys_path = tmp_path / "keys.json"
+    keys_path.write_text(json.dumps(keys), encoding="utf-8")
+    assert main(["eval", str(records), "--apl-intersect", str(keys_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "apl-intersect" in err and "Traceback" not in err
+
+
+def test_eval_reproduces_demo_report(tmp_path, capsys):
+    import csv
+
+    from osmag_nav.episode import read_records
+    from osmag_nav.evalkit import record_key
+
+    demo = tmp_path / "demo"
+    assert main(["demo", "-o", str(demo)]) == 0
+    records = str(demo / "records.jsonl")
+    enriched = str(demo / "fixture_enriched.osm")
+    report_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main(["eval", records, "--map", enriched, "-o", str(report_out), "--csv", str(csv_out)]) == 0
+    assert report_out.read_bytes() == (demo / "report.json").read_bytes()
+    assert csv_out.read_bytes() == (demo / "report.csv").read_bytes()
+
+    assert main(["eval", records, "--map", enriched, "--csv", str(csv_out), "--dir-mode", "failed_only"]) == 0
+    report = json.loads(report_out.read_text())
+    blocks = {"all": report}
+    blocks.update({f"category:{c}": b for c, b in report["by_category"].items()})
+    blocks.update({f"granularity:{g}": b for g, b in report["by_granularity"].items()})
+    rows = list(csv.DictReader(csv_out.read_text().splitlines()))
+    assert [row["slice"] for row in rows] == list(blocks)
+    for row in rows:
+        assert row["DIR"] == f"{blocks[row['slice']]['dir']['failed_only']:.4f}"
+
+    solved = [record_key(rec) for rec in read_records(records) if rec.success]
+    keys_path = tmp_path / "keys.json"
+    keys_path.write_text(json.dumps(solved), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", records, "--apl-intersect", str(keys_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["apl_m"] is not None
+    assert payload["apl_intersected_m"] == payload["apl_m"]
+    assert payload["apl_intersected_count"] == payload["apl_count"]
 
 
 def test_demo_seed_reproducible(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_detect_deterministic_per_seed():
     profile = DetectionProfile(p_propose_tp=0.7, fp_rate=1.0, p_verify_tp=0.8, p_verify_fp=0.1)
     a = detect_at_node(world, (0.0, 0.0), "cup", profile, np.random.default_rng(5))
     b = detect_at_node(world, (0.0, 0.0), "cup", profile, np.random.default_rng(5))
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_detect_perfect_profile_matches_visibility_oracle():

@@ -196,6 +196,13 @@ def test_ingest_orphan_skipped_with_reason(bare_map):
     assert serialize_osmag(m) == serialize_osmag(bare_map)
 
 
+def test_instance_beyond_the_globe_is_orphan(bare_map):
+    m, report, new = _ingest_one(bare_map, "instances", {"label": "sink", "x": 1e308, "y": 1e308})
+    assert report.skipped["instances"] == 1
+    assert "lies outside every area" in report.reasons[0]
+    assert new == []
+
+
 def test_ingest_empty_records_is_identity(bare_map):
     m, report = ingest(bare_map, {})
     assert report.total_applied == 0
@@ -208,6 +215,19 @@ def test_ingest_schema_violation_aborts_before_mutation(bare_map):
         ingest(bare_map, payload)
     payload = {"instances": [{"label": "ok"}]}  # missing coordinates
     with pytest.raises(EnrichmentError):
+        ingest(bare_map, payload)
+
+
+@pytest.mark.parametrize(
+    "section, record, wanted",
+    [
+        ("viewpoints", {"x": 8.0, "y": 1.0, "observed": "sink"}, "bad viewpoint record #0"),
+        ("room_descriptions", {"area_id": 105, "descriptions": "abc"}, "bad room description record #0"),
+    ],
+)
+def test_string_where_list_belongs_rejected(bare_map, section, record, wanted):
+    payload = {"instances": [{"label": "ok", "x": 8.0, "y": 1.0}], section: [record]}
+    with pytest.raises(EnrichmentError, match=wanted):
         ingest(bare_map, payload)
 
 

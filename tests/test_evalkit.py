@@ -10,7 +10,6 @@ from osmag_nav.episode import EpisodeRecord
 from osmag_nav.evalkit import (
     CATEGORIES,
     EvalError,
-    MetricsConfig,
     QueryGenerationError,
     amd,
     apl,
@@ -117,19 +116,18 @@ def test_apl_arithmetic():
         _rec([0.2], success=True, driven=20.0, success_distance=0.2),
         _rec([0.3], success=False, driven=99.0),
     ]
-    mean, count = apl(records, 1.0)
+    mean, count = apl(records)
     assert mean == pytest.approx(15.0)
     assert count == 2
 
 
 def test_apl_absent_when_no_qualifiers():
-    assert apl([_rec([5.0], success=False)], 1.0) == (None, 0)
+    assert apl([_rec([5.0], success=False)]) == (None, 0)
 
 
 def test_apl_radius_filters_far_successes():
     records = [_rec([2.0], success=True, driven=10.0, success_distance=2.0)]
-    assert apl(records, 1.0) == (None, 0)
-    assert apl(records, 3.0) == (10.0, 1)
+    assert apl(records) == (None, 0)
 
 
 def test_apl_baseline_intersection():
@@ -140,9 +138,9 @@ def test_apl_baseline_intersection():
     b = _rec([0.1], success=True, driven=30.0, success_distance=0.1)
     b.query_object = "couf"
     both = [a, b]
-    assert apl(both, 1.0) == (20.0, 2)
+    assert apl(both) == (20.0, 2)
     # baseline solved only the first episode: intersection drops the second
-    assert apl(both, 1.0, baseline_success_keys={record_key(a)}) == (10.0, 1)
+    assert apl(both, baseline_success_keys={record_key(a)}) == (10.0, 1)
 
 
 def test_dir_modes_set_arithmetic():
@@ -177,13 +175,12 @@ def test_dir_failed_only_dominates_all_queries():
     assert dir_rate(records, "failed_only") >= dir_rate(records, "all_queries") - 1e-12
 
 
-def test_metrics_config_validation():
+def test_unknown_dir_mode_rejected():
+    report = compute_report([_rec([0.1])])
     with pytest.raises(EvalError):
-        MetricsConfig(k_thresholds=(3.0, 1.0))
+        report_to_csv(report, "bogus")
     with pytest.raises(EvalError):
-        MetricsConfig(k_thresholds=(-1.0,))
-    with pytest.raises(EvalError):
-        MetricsConfig(dir_mode="bogus")
+        dir_rate([_rec([0.1])], "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +211,10 @@ def synthetic_batch(rng: np.random.Generator, size: int) -> list[EpisodeRecord]:
 
 def test_report_matches_brute_force_oracle():
     rng = np.random.default_rng(1)
-    cfg = MetricsConfig()
     for _ in range(10):
         batch = synthetic_batch(rng, int(rng.integers(5, 40)))
         dicts = [r.to_dict() for r in batch]
-        report = compute_report(batch, cfg)
+        report = compute_report(batch)
         assert report.r_rsr == oracles.bf_r_rsr(dicts)
         for n in (1, 5):
             for k in (1.0, 2.0, 3.0):
@@ -232,7 +228,7 @@ def test_report_matches_brute_force_oracle():
 def test_report_breakdowns_match_filtered_oracle():
     rng = np.random.default_rng(9)
     batch = synthetic_batch(rng, 60)
-    report = compute_report(batch, MetricsConfig())
+    report = compute_report(batch)
     for category, block in report.by_category.items():
         sub = [r.to_dict() for r in batch if r.category == category]
         assert block["r_rsr"] == oracles.bf_r_rsr(sub)
@@ -245,7 +241,7 @@ def test_report_breakdowns_match_filtered_oracle():
 def test_report_csv_layout():
     rng = np.random.default_rng(4)
     batch = synthetic_batch(rng, 20)
-    report = compute_report(batch, MetricsConfig())
+    report = compute_report(batch)
     csv_text = report_to_csv(report)
     lines = csv_text.strip().splitlines()
     header = lines[0].split(",")
