@@ -24,9 +24,10 @@ from .evalkit import (
     run_experiment,
 )
 from .episode import EpisodeError, read_records, write_records
+from .fields import ConfigError, Fields
 from .geometry import GeometryError
 from .gridworld import render_grid
-from .llm import BackendError, make_backend
+from .llm import BACKEND_KINDS, BackendError, make_backend
 from .osmag import (
     MapParseError,
     OsmagError,
@@ -86,7 +87,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_enrich(args: argparse.Namespace) -> int:
     mapping = parse_osmag(_read_text(args.map))
-    records = json.loads(_read_text(args.records))
+    records = Fields(args.records, EnrichmentError).parse(_read_text(args.records))
     enriched, report = ingest(mapping, records)
     _write_text(args.output, serialize_osmag(enriched))
     payload = {
@@ -128,22 +129,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     mapping = parse_osmag(_read_text(args.map))
-    backend_spec: dict = {"kind": args.backend}
-    if args.fixtures:
-        backend_spec["fixtures_file"] = args.fixtures
-    if args.endpoint:
-        backend_spec["endpoint"] = args.endpoint
-    if args.model:
-        backend_spec["model"] = args.model
-    backend = make_backend(backend_spec)
+    flags = {"kind": args.backend, "fixtures_file": args.fixtures, "endpoint": args.endpoint, "model": args.model}
+    backend = make_backend({key: value for key, value in flags.items() if value})
     plan = retrieve(mapping, Query.from_text(args.text), backend, args.mode)
     print(json.dumps(plan.to_dict(), sort_keys=True, indent=2))
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = json.loads(_read_text(args.config))
-    if args.seed is not None:
+    config = Fields(args.config, EvalError).parse(_read_text(args.config))
+    if args.seed is not None and isinstance(config, dict):  # run_experiment refuses the rest
         config["master_seed"] = args.seed
     records, report = run_experiment(
         config, base_dir=os.path.dirname(os.path.abspath(args.config)), jobs=args.jobs
@@ -162,9 +157,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = compute_report(records, map_size=size)
     payload = report.to_dict()
     if args.apl_intersect:
-        baseline_keys = json.loads(_read_text(args.apl_intersect))
-        if not (isinstance(baseline_keys, list) and all(isinstance(k, str) for k in baseline_keys)):
-            raise EvalError(f"{args.apl_intersect}: --apl-intersect needs a JSON list of record keys")
+        f = Fields(f"--apl-intersect {args.apl_intersect}", EvalError)
+        baseline_keys = f.typed(list[str], f.parse(_read_text(args.apl_intersect)), "")
         mean, count = apl_metric(records, set(baseline_keys))
         payload["apl_intersected_m"] = mean
         payload["apl_intersected_count"] = count
@@ -272,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="run retrieval for one query; prints the plan as JSON")
     p.add_argument("map")
     p.add_argument("text")
-    p.add_argument("--backend", choices=["heuristic", "scripted", "live"], default="heuristic")
+    p.add_argument("--backend", choices=BACKEND_KINDS, default="heuristic")
     p.add_argument("--fixtures", help="scripted backend fixture file")
     p.add_argument("--endpoint", help="live backend base URL")
     p.add_argument("--model", help="live backend model name")
@@ -320,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (json.JSONDecodeError, EvalError, EpisodeError, BackendError) as exc:
+    except (json.JSONDecodeError, ConfigError, EvalError, EpisodeError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MapParseError, OsmagError, EnrichmentError, PlanError, GeometryError) as exc:

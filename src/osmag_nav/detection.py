@@ -12,7 +12,7 @@ proposal, verifier confusion, spurious accept) is reproducible on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,28 +50,6 @@ class DetectionProfile:
     @property
     def views_per_node(self) -> int:
         return 360 // self.rotation_step_deg
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectionProfile":
-        kwargs = dict(data)
-        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
-        if unknown:
-            raise DetectionConfigError(f"unknown profile field(s): {', '.join(unknown)}")
-        for key in ("conf_tp", "conf_fp"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(v) for v in kwargs[key])
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "p_propose_tp": self.p_propose_tp,
-            "fp_rate": self.fp_rate,
-            "conf_tp": list(self.conf_tp),
-            "conf_fp": list(self.conf_fp),
-            "p_verify_tp": self.p_verify_tp,
-            "p_verify_fp": self.p_verify_fp,
-            "rotation_step_deg": self.rotation_step_deg,
-        }
 
 
 @dataclass(frozen=True)

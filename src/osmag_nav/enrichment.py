@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import llm
+from .fields import Fields
 from .geometry import MAX_SUPPORTED_LAT, GeometryError, MetricPoint
 from .osmag import (
     DESCRIPTION_KEY,
@@ -95,7 +96,8 @@ def _add_node(m: SemanticMap, where: MetricPoint, key: str, value: str, what: st
             raise  # the map itself cannot be projected
         area_id = None  # no latitude/longitude represents the point
     if area_id is None:
-        raise OrphanRecordError(f"{what} at ({where.x:.2f}, {where.y:.2f}) lies outside every area")
+        at = ", ".join(f"{v:.2f}" if abs(v) < 1e9 else f"{v:.3g}" for v in (where.x, where.y))
+        raise OrphanRecordError(f"{what} at ({at}) lies outside every area")
     nid = m.next_free_node_id()
     m.nodes[nid] = MapNode(nid, m.metric_to_geo(where), {key: value, PARENT_KEY: str(area_id)})
 
@@ -155,59 +157,36 @@ def _merge_instances(records: list[InstanceRecord]) -> tuple[list[InstanceRecord
     return out, merges
 
 
-def _string_list(item: dict, key: str) -> tuple[str, ...]:
-    """``item[key]``, which must be a JSON array, as a tuple of strings."""
-    value = item[key]
-    if not isinstance(value, list):
-        raise TypeError(f"'{key}' must be a list, got {value!r}")
-    return tuple(str(v) for v in value)
-
-
 def parse_records(payload: dict) -> tuple[
     list[InstanceRecord], list[ViewpointRecord], list[RoomDescriptionRecord]
 ]:
-    """Validate and materialize a records-file payload; raises before any mutation."""
-    if not isinstance(payload, dict):
-        raise EnrichmentError("records file must be a JSON object")
-    unknown = set(payload) - {"instances", "viewpoints", "room_descriptions"}
-    if unknown:
-        raise EnrichmentError(f"unknown records sections: {sorted(unknown)}")
+    """Check and materialize a records payload, before any mutation; a value
+    its schema forbids raises :class:`EnrichmentError` naming the record and
+    the field."""
+    sections = Fields("records", EnrichmentError)
+    sections.object(payload, "", allowed=("instances", "viewpoints", "room_descriptions"))
 
-    instances = []
-    for i, item in enumerate(payload.get("instances", [])):
-        try:
-            instances.append(
-                InstanceRecord(
-                    label=str(item["label"]),
-                    centroid=MetricPoint(float(item["x"]), float(item["y"])),
-                    source=str(item.get("source", "")),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EnrichmentError(f"bad instance record #{i}: {exc}") from exc
-    viewpoints = []
-    for i, item in enumerate(payload.get("viewpoints", [])):
-        try:
-            viewpoints.append(
-                ViewpointRecord(
-                    capture_pose=MetricPoint(float(item["x"]), float(item["y"])),
-                    heading_deg=float(item.get("heading_deg", 0.0)),
-                    observed=_string_list(item, "observed"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EnrichmentError(f"bad viewpoint record #{i}: {exc}") from exc
-    descriptions = []
-    for i, item in enumerate(payload.get("room_descriptions", [])):
-        try:
-            descriptions.append(
-                RoomDescriptionRecord(
-                    area_id=int(item["area_id"]),
-                    descriptions=_string_list(item, "descriptions"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EnrichmentError(f"bad room description record #{i}: {exc}") from exc
+    def items(section: str, kind: str, required: tuple, optional: tuple = ()):
+        for i, item in enumerate(sections.array(payload.get(section, []), section)):
+            f = Fields(f"bad {kind} record #{i}", EnrichmentError)
+            yield f, f.object(item, "", required, required + optional)
+
+    instances = [
+        f.build(InstanceRecord, "", label=f.typed(str, item["label"], "label"), centroid=MetricPoint(*f.xy(item, "")),
+                source=f.typed(str, item.get("source", ""), "source"))
+        for f, item in items("instances", "instance", ("label", "x", "y"), ("source",))
+    ]
+    viewpoints = [
+        f.build(ViewpointRecord, "", capture_pose=MetricPoint(*f.xy(item, "")),
+                heading_deg=f.number(item.get("heading_deg", 0.0), "heading_deg"),
+                observed=tuple(f.typed(list[str], item["observed"], "observed")))
+        for f, item in items("viewpoints", "viewpoint", ("x", "y", "observed"), ("heading_deg",))
+    ]
+    descriptions = [
+        RoomDescriptionRecord(f.integer(item["area_id"], "area_id"),
+                              tuple(f.typed(list[str], item["descriptions"], "descriptions")))
+        for f, item in items("room_descriptions", "room description", ("area_id", "descriptions"))
+    ]
     return instances, viewpoints, descriptions
 
 

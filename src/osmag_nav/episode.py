@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import TypedDict
 
 import numpy as np
 
 from .detection import DetectionOutcome, DetectionProfile, detect_at_node
+from .fields import Fields
 from .geometry import MetricPoint, point_in_ring
 from .gridworld import (
     DEFAULT_INFLATION_M,
@@ -50,6 +52,14 @@ class EpisodeConfig:
     category: str | None = None  # SO / RO / UO annotation, carried into the record
 
 
+class PlanNode(TypedDict):
+    node_id: int
+    room_id: int
+    x: float
+    y: float
+    distance_to_gt: float | None  # None when the world holds no ground-truth instance
+
+
 @dataclass
 class VisitRecord:
     node_id: int
@@ -59,28 +69,6 @@ class VisitRecord:
     replans: int
     failure_reason: str | None = None
     detection: DetectionOutcome | None = None
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VisitRecord":
-        det = data.get("detection")
-        detection = None
-        if det is not None:
-            detection = DetectionOutcome(
-                found=det["found"],
-                matched_instance=det["matched_instance"],
-                views_used=det["views_used"],
-                is_true_positive=det["is_true_positive"],
-                trace=det.get("trace", []),
-            )
-        return cls(
-            node_id=data["node_id"],
-            room_id=data["room_id"],
-            reached=data["reached"],
-            driven_length_m=data["driven_length_m"],
-            replans=data["replans"],
-            failure_reason=data.get("failure_reason"),
-            detection=detection,
-        )
 
 
 @dataclass
@@ -94,7 +82,7 @@ class EpisodeRecord:
     seed: int
     plan_rooms: list[dict] = field(default_factory=list)
     plan_drops: list[str] = field(default_factory=list)
-    plan_nodes: list[dict] = field(default_factory=list)
+    plan_nodes: list[PlanNode] = field(default_factory=list)
     rank1_room_id: int | None = None
     rank1_room_contains_gt: bool = False
     visits: list[VisitRecord] = field(default_factory=list)
@@ -111,30 +99,6 @@ class EpisodeRecord:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpisodeRecord":
-        return cls(
-            query_object=data["query_object"],
-            query_room=data.get("query_room"),
-            query_floor=data.get("query_floor"),
-            granularity=data["granularity"],
-            category=data.get("category"),
-            map_mode=data["map_mode"],
-            seed=data["seed"],
-            plan_rooms=data.get("plan_rooms", []),
-            plan_drops=data.get("plan_drops", []),
-            plan_nodes=data.get("plan_nodes", []),
-            rank1_room_id=data.get("rank1_room_id"),
-            rank1_room_contains_gt=data.get("rank1_room_contains_gt", False),
-            visits=[VisitRecord.from_dict(v) for v in data.get("visits", [])],
-            driven_length_m=data.get("driven_length_m", 0.0),
-            success=data.get("success", False),
-            success_node_id=data.get("success_node_id"),
-            success_node_distance_m=data.get("success_node_distance_m"),
-            gt_positions=data.get("gt_positions", []),
-            failure_reason=data.get("failure_reason"),
-        )
-
 
 def write_records(records: list[EpisodeRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -143,20 +107,15 @@ def write_records(records: list[EpisodeRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[EpisodeRecord]:
-    """Records of a JSON-lines file; a line that is no episode record raises
-    :class:`EpisodeError` naming the file and the line."""
+    """Records of a JSON-lines file, each built from the fields of
+    :class:`EpisodeRecord`; a line that breaks them raises
+    :class:`EpisodeError` naming the file, the line and the field."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(EpisodeRecord.from_dict(json.loads(line)))
-            except KeyError as exc:
-                raise EpisodeError(f"{path} line {lineno}: episode record is missing field {exc}") from exc
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise EpisodeError(f"{path} line {lineno}: malformed episode record: {exc}") from exc
+            if line.strip():
+                f = Fields(f"{path} line {lineno}: malformed episode record", EpisodeError)
+                out.append(f.dataclass(EpisodeRecord, f.parse(line)))
     return out
 
 

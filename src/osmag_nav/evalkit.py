@@ -20,7 +20,6 @@ import concurrent.futures
 import csv
 import io
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -29,7 +28,8 @@ import numpy as np
 from .detection import DetectionProfile
 from .episode import EpisodeConfig, EpisodeRecord, run_episode
 from .geometry import MetricPoint
-from .gridworld import FREE, WorldModel, inflate, render_grid
+from .fields import Fields
+from .gridworld import DEFAULT_INFLATION_M, DEFAULT_RESOLUTION_M, FREE, WorldModel, inflate, render_grid
 from .llm import make_backend
 from .osmag import SemanticMap, containing_area_metric, map_size_bytes, parse_osmag
 from .retrieval import MAP_MODES, Query
@@ -348,8 +348,8 @@ def sample_starts(
     world: WorldModel,
     count: int,
     master_seed: int,
-    grid_resolution_m: float = 0.1,
-    inflation_radius_m: float = 0.25,
+    grid_resolution_m: float = DEFAULT_RESOLUTION_M,
+    inflation_radius_m: float = DEFAULT_INFLATION_M,
 ) -> list[MetricPoint]:
     """World start first (when present), then seeded draws from free space."""
     starts: list[MetricPoint] = []
@@ -374,69 +374,40 @@ def sample_starts(
     return starts
 
 
-def _config_objects(config: dict, key: str) -> list[dict]:
-    """``config[key]`` as a list of JSON objects, or an :class:`EvalError`
-    naming the field and the index of the first bad entry."""
-    items = config.get(key, [])
-    if not isinstance(items, list):
-        raise EvalError(f"experiment config field '{key}' must be a list, got {items!r}")
-    for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise EvalError(f"experiment config field '{key}[{i}]' must be an object, got {item!r}")
-    return items
+_CONFIG_KEYS = ("map", "world", "map_mode", "grid_resolution_m", "inflation_radius_m", "backend", "profile",
+                "queries", "generate", "starts", "master_seed")
 
 
-def _expand_queries(config: dict, world: WorldModel, m: SemanticMap) -> list[tuple[Query, str | None]]:
-    expanded: list[tuple[Query, str | None]] = []
-    for i, item in enumerate(_config_objects(config, "queries")):
-        if "object" not in item:
-            raise EvalError(f"experiment config field 'queries[{i}]' is missing 'object'")
-        q = Query(
-            object=str(item["object"]),
-            room=item.get("room"),
-            floor=item.get("floor"),
-        )
-        expanded.append((q, item.get("category")))
-    for suite in _config_objects(config, "generate"):
-        category = suite.get("category", SO)
-        granularity = suite.get("granularity", "o")
-        for q in generate_queries(world, m, granularity, category):
-            expanded.append((q, category))
-    if not expanded:
+def _read_queries(f: Fields, config: dict) -> tuple[list[tuple[Query, str | None]], list[tuple[str, str]]]:
+    """The explicit queries with their categories, and the (category,
+    granularity) suites to generate."""
+    queries, suites = [], []
+    for i, item in enumerate(f.array(config.get("queries", []), "queries")):
+        p = f"queries[{i}]"
+        f.object(item, p, required=("object",))
+        room, floor = (f.typed(str | None, item.get(key), f"{p}.{key}") for key in ("room", "floor"))
+        query = f.build(Query, p, object=f.typed(str, item["object"], p + ".object"), room=room, floor=floor)
+        queries.append((query, f.choice(item.get("category"), p + ".category", (*CATEGORIES, None))))
+    for i, item in enumerate(f.array(config.get("generate", []), "generate")):
+        p = f"generate[{i}]"
+        category = f.choice(f.object(item, p).get("category", SO), p + ".category", CATEGORIES)
+        suites.append((category, f.choice(item.get("granularity", "o"), p + ".granularity", GRANULARITIES)))
+    if not queries and not suites:
         raise EvalError("experiment config defines no queries")
-    return expanded
+    return queries, suites
 
 
 def load_experiment_inputs(config: dict, base_dir: str = ".") -> tuple[SemanticMap, WorldModel]:
-    def resolve(path: str) -> str:
-        return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-    for key in ("map", "world"):
-        if key not in config:
-            raise EvalError(f"experiment config is missing '{key}'")
-        if not os.path.exists(resolve(config[key])):
-            raise EvalError(f"referenced file missing: {config[key]}")
-    with open(resolve(config["map"]), "r", encoding="utf-8") as fh:
+    """The map and the world an experiment config names, relative paths
+    resolved against ``base_dir``."""
+    f = Fields("experiment config", EvalError)
+    paths = {key: os.path.join(base_dir, f.typed(str, config.get(key), key)) for key in ("map", "world")}
+    for key, path in paths.items():
+        if not os.path.isfile(path):
+            f.fail(key, f"names no file: {path}")
+    with open(paths["map"], "r", encoding="utf-8") as fh:
         m = parse_osmag(fh.read())
-    try:
-        world = WorldModel.from_file(resolve(config["world"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EvalError(f"malformed world file {config['world']}: {type(exc).__name__}: {exc}") from exc
-    return m, world
-
-
-def _config_number(config: dict, key: str, default, kind, positive: bool):
-    """``config[key]`` as a finite, non-negative (or positive) ``kind``, or an
-    :class:`EvalError` naming the field."""
-    raw = config.get(key, default)
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise EvalError(f"experiment config field '{key}' must be a number, got {raw!r}") from exc
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        wanted = "positive" if positive else "non-negative"
-        raise EvalError(f"experiment config field '{key}' must be {wanted}, got {raw!r}")
-    return value
+    return m, WorldModel.from_file(paths["world"])
 
 
 def run_experiment(
@@ -446,25 +417,27 @@ def run_experiment(
 ) -> tuple[list[EpisodeRecord], MetricsReport]:
     """Run every (query x start) episode deterministically and aggregate.
 
+    Every field of ``config`` is checked against the experiment schema before
+    the map and world are read; a violation raises :class:`EvalError` (or
+    :class:`BackendError` for the backend) naming the field.
+
     Identical (config, master_seed) produce byte-identical record streams, for
     any ``jobs`` value: parallel workers only change wall-clock order, results
     are collected by episode index.
     """
-    master_seed = _config_number(config, "master_seed", 0, int, positive=False)
-    resolution = _config_number(config, "grid_resolution_m", 0.1, float, positive=True)
-    inflation = _config_number(config, "inflation_radius_m", 0.25, float, positive=False)
-    start_count = _config_number(config, "starts", 1, int, positive=True)
-    try:
-        profile = DetectionProfile.from_dict(config.get("profile", {}))
-    except (TypeError, ValueError) as exc:
-        raise EvalError(f"experiment config field 'profile': {exc}") from exc
-    map_mode = config.get("map_mode", "full")
-    if map_mode not in MAP_MODES:
-        raise EvalError(f"experiment config field 'map_mode' must be one of {MAP_MODES}, got {map_mode!r}")
+    f = Fields("experiment config", EvalError)
+    f.object(config, "", required=("map", "world"), allowed=_CONFIG_KEYS)
+    master_seed = f.integer(config.get("master_seed", 0), "master_seed", minimum=0)
+    resolution = f.number(config.get("grid_resolution_m", DEFAULT_RESOLUTION_M), "grid_resolution_m", above=0)
+    inflation = f.number(config.get("inflation_radius_m", DEFAULT_INFLATION_M), "inflation_radius_m", minimum=0)
+    start_count = f.integer(config.get("starts", 1), "starts", minimum=1)
+    profile = f.dataclass(DetectionProfile, config.get("profile", {}), "profile")
+    map_mode = f.choice(config.get("map_mode", "full"), "map_mode", MAP_MODES)
+    queries, suites = _read_queries(f, config)
+    backend = make_backend(config.get("backend", {"kind": "heuristic"}), base_dir)
     m, world = load_experiment_inputs(config, base_dir)
-    backend = make_backend(config.get("backend", {"kind": "heuristic"}))
 
-    queries = _expand_queries(config, world, m)
+    queries += [(q, category) for category, gran in suites for q in generate_queries(world, m, gran, category)]
     starts = sample_starts(m, world, start_count, master_seed, resolution, inflation)
 
     episode_configs: list[EpisodeConfig] = []

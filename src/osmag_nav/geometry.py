@@ -76,15 +76,6 @@ def unproject(p: MetricPoint, origin: GeoPoint) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
-def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters (used only as a test oracle)."""
-    phi1, phi2 = a.lat * DEG, b.lat * DEG
-    dphi = (b.lat - a.lat) * DEG
-    dlam = (b.lon - a.lon) * DEG
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))
-
-
 def point_segment_distance(
     px: float, py: float, ax: float, ay: float, bx: float, by: float
 ) -> float:

@@ -9,14 +9,14 @@ obstacle blocks the current path.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 from scipy import ndimage
 
+from .fields import Fields
 from .geometry import MetricPoint
 from .osmag import OsmagError, SemanticMap
 
@@ -143,16 +143,9 @@ class SensorConfig:
     range_m: float = 4.0
     rays: int = 61
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SensorConfig":
-        return cls(
-            fov_deg=float(data.get("fov_deg", 120.0)),
-            range_m=float(data.get("range_m", 4.0)),
-            rays=int(data.get("rays", 61)),
-        )
-
-    def to_dict(self) -> dict:
-        return {"fov_deg": self.fov_deg, "range_m": self.range_m, "rays": self.rays}
+    def __post_init__(self) -> None:
+        if not (self.fov_deg > 0 and self.range_m > 0 and self.rays >= 1):
+            raise ValueError("sensor needs fov_deg > 0, range_m > 0 and rays >= 1")
 
 
 @dataclass(frozen=True)
@@ -187,6 +180,9 @@ class ObjectInstance:
             raise ValueError("instance label must be non-empty")
 
 
+_WORLD_KEYS = ("obstacles", "instances", "sensor", "start")
+
+
 class WorldModel:
     """Hidden ground truth: obstacle geometry, object instances, sensor spec."""
 
@@ -215,29 +211,30 @@ class WorldModel:
         ]
 
     @classmethod
-    def from_dict(cls, data: dict) -> "WorldModel":
-        obstacles = [
-            Obstacle(kind=str(o["kind"]), coords=tuple(float(c) for c in o["coords"]))
-            for o in data.get("obstacles", [])
-        ]
-        instances = [
-            ObjectInstance(
-                label=str(i["label"]),
-                position=MetricPoint(float(i["x"]), float(i["y"])),
-                room_id=int(i["room_id"]) if i.get("room_id") is not None else None,
-            )
-            for i in data.get("instances", [])
-        ]
-        sensor = SensorConfig.from_dict(data.get("sensor", {}))
+    def from_file(cls, path: str) -> "WorldModel":
+        """The world file at ``path``; a value its schema forbids raises
+        :class:`ConfigError` naming the file and the field."""
+        f = Fields(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = f.object(f.parse(fh.read()), "", ("obstacles", "instances", "sensor"), _WORLD_KEYS)
+        obstacles, instances = [], []
+        for i, item in enumerate(f.array(data["obstacles"], "obstacles")):
+            p = f"obstacles[{i}]"
+            f.object(item, p, ("kind", "coords"), ("kind", "coords"))
+            coords = f.array(item["coords"], p + ".coords", 4)
+            kind = f.choice(item["kind"], p + ".kind", ("rect", "segment"))
+            obstacles.append(Obstacle(kind, tuple(f.number(c, f"{p}.coords[{j}]") for j, c in enumerate(coords))))
+        for i, item in enumerate(f.array(data["instances"], "instances")):
+            p = f"instances[{i}]"
+            f.object(item, p, ("label", "x", "y"), ("label", "x", "y", "room_id"))
+            label = f.typed(str, item["label"], p + ".label")
+            room_id = f.integer(item["room_id"], p + ".room_id") if "room_id" in item else None
+            position = MetricPoint(*f.xy(item, p))
+            instances.append(f.build(ObjectInstance, p, label=label, position=position, room_id=room_id))
         start = None
         if "start" in data:
-            start = MetricPoint(float(data["start"]["x"]), float(data["start"]["y"]))
-        return cls(obstacles, instances, sensor, start)
-
-    @classmethod
-    def from_file(cls, path: str) -> "WorldModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            start = MetricPoint(*f.xy(f.object(data["start"], "start", ("x", "y"), ("x", "y")), "start"))
+        return cls(obstacles, instances, f.dataclass(SensorConfig, data["sensor"], "sensor"), start)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -251,7 +248,7 @@ class WorldModel:
                 }
                 for i in self.instances
             ],
-            "sensor": self.sensor.to_dict(),
+            "sensor": asdict(self.sensor),
         }
         if self.start is not None:
             out["start"] = {"x": self.start.x, "y": self.start.y}

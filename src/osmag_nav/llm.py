@@ -11,16 +11,18 @@ transparent: identical request, identical reply bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass
 
+from .fields import Fields
+
 API_KEY_ENV = "OSMAG_NAV_API_KEY"
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_RETRIES = 3
 DEFAULT_MAX_IN_FLIGHT = 4
+BACKEND_KINDS = ("heuristic", "scripted", "live")
 
 
 class BackendError(Exception):
@@ -81,8 +83,9 @@ class ScriptedBackend(TextBackend):
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
+        f = Fields(path, BackendError)
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+            return cls(f.typed(dict[str, str], f.parse(fh.read()), ""))
 
     def record(self, req: CompletionRequest, reply: str) -> None:
         self.fixtures[req.fingerprint()] = reply
@@ -171,27 +174,26 @@ class LiveBackend(TextBackend):
         )
 
 
-def make_backend(spec: dict) -> TextBackend:
-    """Build a backend from a config dict: {"kind": "live"|"scripted"|"heuristic", ...}."""
-    if not isinstance(spec, dict):
-        raise BackendError(f"backend spec must be an object, got {spec!r}")
-    kind = spec.get("kind", "heuristic")
+def make_backend(spec: dict, base_dir: str = ".") -> TextBackend:
+    """Build a backend from its spec, ``{"kind": "live"|"scripted"|"heuristic", ...}``;
+    a relative ``fixtures_file`` resolves against ``base_dir``. A value the
+    experiment schema forbids raises :class:`BackendError` naming the field."""
+    f = Fields("backend", BackendError)
+    kind = f.choice(f.object(spec, "", required=("kind",))["kind"], "kind", BACKEND_KINDS)
     if kind == "scripted":
         if "fixtures_file" in spec:
-            return ScriptedBackend.from_file(spec["fixtures_file"])
-        return ScriptedBackend(spec.get("fixtures", {}))
+            path = os.path.join(base_dir, f.typed(str, spec["fixtures_file"], "fixtures_file"))
+            return ScriptedBackend.from_file(path)
+        return ScriptedBackend(f.typed(dict[str, str], spec.get("fixtures", {}), "fixtures"))
     if kind == "live":
-        if "endpoint" not in spec:
-            raise BackendError("live backend needs an 'endpoint'")
+        f.object(spec, "", required=("endpoint",))
         return LiveBackend(
-            endpoint=spec["endpoint"],
-            model=spec.get("model", "gpt-4o"),
-            timeout_s=float(spec.get("timeout_s", DEFAULT_TIMEOUT_S)),
-            retries=int(spec.get("retries", DEFAULT_RETRIES)),
-            max_in_flight=int(spec.get("max_in_flight", DEFAULT_MAX_IN_FLIGHT)),
+            endpoint=f.typed(str, spec["endpoint"], "endpoint"),
+            model=f.typed(str, spec.get("model", "gpt-4o"), "model"),
+            timeout_s=f.number(spec.get("timeout_s", DEFAULT_TIMEOUT_S), "timeout_s", above=0),
+            retries=f.integer(spec.get("retries", DEFAULT_RETRIES), "retries", minimum=1),
+            max_in_flight=f.integer(spec.get("max_in_flight", DEFAULT_MAX_IN_FLIGHT), "max_in_flight", minimum=1),
         )
-    if kind == "heuristic":
-        from .retrieval import HeuristicBackend
+    from .retrieval import HeuristicBackend
 
-        return HeuristicBackend()
-    raise BackendError(f"unknown backend kind '{kind}'")
+    return HeuristicBackend()

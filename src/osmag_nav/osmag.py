@@ -17,6 +17,7 @@ from xml.sax.saxutils import quoteattr
 
 from .geometry import (
     BOUNDARY_TOL_DEG,
+    MAX_SUPPORTED_LAT,
     GeoPoint,
     MetricPoint,
     point_in_ring,
@@ -436,12 +437,15 @@ def validate(m: SemanticMap) -> list[Violation]:
     """Check every structural invariant; violations are data, not failures."""
     out: list[Violation] = []
 
+    origin_in_band = abs(m.projection_origin.lat) < MAX_SUPPORTED_LAT
     for node in m.nodes.values():
         if OBJECT_KEY in node.tags and OBSERVED_KEY in node.tags:
             out.append(
                 Violation(node.id, "semantic-key-conflict",
                           f"node carries both {OBJECT_KEY} and {OBSERVED_KEY}")
             )
+        if not (origin_in_band and abs(node.position.lat) < MAX_SUPPORTED_LAT):
+            out.append(Violation(node.id, "latitude-out-of-band", f"node or map origin at |lat| >= {MAX_SUPPORTED_LAT}"))
 
     for area in m.areas.values():
         missing = [nid for nid in area.ring if nid not in m.nodes]
@@ -557,36 +561,6 @@ def containing_area(m: SemanticMap, p: GeoPoint) -> int | None:
 
 def containing_area_metric(m: SemanticMap, p: MetricPoint) -> int | None:
     return containing_area(m, unproject(p, m.projection_origin))
-
-
-def maps_semantically_equal(a: SemanticMap, b: SemanticMap, tol_deg: float = 1e-9) -> bool:
-    """Equality on ids, tags, topology, and geometry to ``tol_deg`` degrees."""
-    if set(a.nodes) != set(b.nodes) or set(a.areas) != set(b.areas) or set(a.passages) != set(b.passages):
-        return False
-    for nid, na in a.nodes.items():
-        nb = b.nodes[nid]
-        if na.tags != nb.tags:
-            return False
-        if (
-            abs(na.position.lat - nb.position.lat) > tol_deg
-            or abs(na.position.lon - nb.position.lon) > tol_deg
-        ):
-            return False
-    for aid, aa in a.areas.items():
-        ab = b.areas[aid]
-        if aa.ring != ab.ring or aa.tags != ab.tags:
-            return False
-    for pid, pa in a.passages.items():
-        pb = b.passages[pid]
-        if pa.segment != pb.segment or pa.connects != pb.connects:
-            return False
-        # from/to tags are normalized on serialize; compare the rest verbatim
-        ta = {k: v for k, v in pa.tags.items() if k not in (FROM_KEY, TO_KEY)}
-        tb = {k: v for k, v in pb.tags.items() if k not in (FROM_KEY, TO_KEY)}
-        if ta != tb:
-            return False
-    oa, ob = a.projection_origin, b.projection_origin
-    return abs(oa.lat - ob.lat) <= tol_deg and abs(oa.lon - ob.lon) <= tol_deg
 
 
 def map_size_bytes(m: SemanticMap) -> int:

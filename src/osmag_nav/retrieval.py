@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .fields import ConfigError
 from .llm import CompletionRequest, TextBackend, complete
 from .osmag import MapNode, SemanticMap
 
@@ -53,6 +54,10 @@ class Query:
     object: str
     room: str | None = None
     floor: str | None = None
+
+    def __post_init__(self) -> None:
+        if not self.object.strip():
+            raise ConfigError("query object must be non-empty")
 
     @property
     def granularity(self) -> str:

@@ -2,9 +2,11 @@
 
 Everything here is a second code path on purpose: plain Dijkstra instead of
 A*, winding numbers instead of even-odd crossing, direct arithmetic over
-record dicts instead of the evalkit fold, and a per-area scan of raw tags
-instead of the one-pass map simplification. Keep these free of imports from the
-package's corresponding modules' internals.
+record dicts instead of the evalkit fold, a per-area scan of raw tags instead
+of the one-pass map simplification, map equality field by field instead of
+serialized bytes, and great-circle distance instead of the local projection.
+Keep these free of imports from the package's corresponding modules'
+internals.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import heapq
 import math
 import re
+
+from osmag_nav.geometry import EARTH_RADIUS_M
+from osmag_nav.osmag import FROM_KEY, TO_KEY
 
 ROOT2 = math.sqrt(2.0)
 
@@ -232,3 +237,42 @@ def bf_simplify_map(m, mode: str = "full") -> str:
     for root in sorted(a for a in m.areas if resolve(m.areas[a].tags.get("parent")) is None):
         emit(root, 0)
     return "\n".join(lines)
+
+
+def maps_semantically_equal(a, b, tol_deg: float = 1e-9) -> bool:
+    """Equality on ids, tags, topology, and geometry to ``tol_deg`` degrees."""
+    if set(a.nodes) != set(b.nodes) or set(a.areas) != set(b.areas) or set(a.passages) != set(b.passages):
+        return False
+    for nid, na in a.nodes.items():
+        nb = b.nodes[nid]
+        if na.tags != nb.tags:
+            return False
+        if (
+            abs(na.position.lat - nb.position.lat) > tol_deg
+            or abs(na.position.lon - nb.position.lon) > tol_deg
+        ):
+            return False
+    for aid, aa in a.areas.items():
+        ab = b.areas[aid]
+        if aa.ring != ab.ring or aa.tags != ab.tags:
+            return False
+    for pid, pa in a.passages.items():
+        pb = b.passages[pid]
+        if pa.segment != pb.segment or pa.connects != pb.connects:
+            return False
+        # from/to tags are normalized on serialize; compare the rest verbatim
+        ta = {k: v for k, v in pa.tags.items() if k not in (FROM_KEY, TO_KEY)}
+        tb = {k: v for k, v in pb.tags.items() if k not in (FROM_KEY, TO_KEY)}
+        if ta != tb:
+            return False
+    oa, ob = a.projection_origin, b.projection_origin
+    return abs(oa.lat - ob.lat) <= tol_deg and abs(oa.lon - ob.lon) <= tol_deg
+
+
+def haversine_m(a, b) -> float:
+    """Great-circle distance in meters between two GeoPoints."""
+    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
+    dphi = math.radians(b.lat - a.lat)
+    dlam = math.radians(b.lon - a.lon)
+    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))

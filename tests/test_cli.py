@@ -124,12 +124,19 @@ def test_render_map_beyond_supported_latitude_is_failure(fixture_files, capsys):
     tmp_path, map_path, _ = fixture_files
     polar = tmp_path / "polar.osm"
     polar.write_text(map_path.read_text().replace('lat="31', 'lat="86'), encoding="utf-8")
-    assert main(["validate", str(polar)]) == 0
-    capsys.readouterr()
     assert main(["render", str(polar), "-o", str(tmp_path / "grid.pgm")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "latitude" in err and "Traceback" not in err
+
+
+def test_validate_map_beyond_supported_latitude_is_failure(fixture_files, capsys):
+    tmp_path, map_path, _ = fixture_files
+    polar = tmp_path / "polar.osm"
+    polar.write_text(map_path.read_text().replace('lat="31', 'lat="86'), encoding="utf-8")
+    assert main(["validate", str(polar), "--json"]) == 1
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations and {v["rule"] for v in violations} == {"latitude-out-of-band"}
 
 
 def test_render_map_without_areas_is_failure(tmp_path, capsys):
@@ -207,49 +214,117 @@ def test_simulate_then_eval(fixture_files, capsys):
         ("generate", "SO"),
         ("backend", {"kind": "live"}),
         ("backend", "live"),
+        ("experiment config", lambda config: [config]),
+        ("backend", {"kind": "live", "endpoint": "http://localhost:1", "timeout_s": "abc"}),
+        ("backend", {"kind": "live", "endpoint": "http://localhost:1", "max_in_flight": 0}),
+        ("profile", {"rotation_step_deg": 45.0}),
+        ("map", 5),
+        ("starts", True),
+        ("starts", 2.7),
+        ("queries", [{"object": "sink", "category": "XX"}]),
+        ("queries", [{"object": "sink", "room": 5}]),
+        ("queries", [{"object": ["a"]}]),
+        ("queries", [{"object": " "}]),
     ],
 )
-def test_simulate_bad_config_field_is_config_error(tmp_path, capsys, field, value):
+def test_simulate_bad_config_field_is_config_error(tmp_path, capsys, monkeypatch, field, value):
     from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
 
+    monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
     (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
     (tmp_path / "world.json").write_text(json.dumps(five_room_world().to_dict()), encoding="utf-8")
     config = demo_experiment_config()
-    config.update({"map": "map.osm", "world": "world.json", field: value})
+    config.update({"map": "map.osm", "world": "world.json"})
+    seed = []
+    if field == "experiment config":  # the whole document is the bad value
+        config, seed = value(config), ["--seed", "1"]  # the seed override must not meet it either
+    else:
+        config[field] = value
     config_path = tmp_path / "experiment.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
 
     records_out = tmp_path / "records.jsonl"
-    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
+    assert main(["simulate", str(config_path), "-o", str(records_out), *seed]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err and "Traceback" not in err
     assert not records_out.exists()
 
 
+def _drop_instance_x(world):
+    del world["instances"][0]["x"]
+    return world
+
+
+_WORLD_EDITS = [
+    _drop_instance_x,
+    lambda world: [world],
+    lambda world: {**world, "sensor": [1]},
+    lambda world: {**world, "sensor": {"rays": -1}},
+    lambda world: {**world, "sensor": {"rays": 0}},
+    lambda world: {**world, "sensor": {"rays": 2.5}},
+    lambda world: {**world, "sensor": {"range_m": -1}},
+    lambda world: {**world, "sensor": {"fov_deg": 0}},
+]
+
+
 def test_simulate_malformed_world_file_is_config_error(tmp_path, capsys):
     from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
 
-    world = five_room_world().to_dict()
-    del world["instances"][0]["x"]
     (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
-    (tmp_path / "world.json").write_text(json.dumps(world), encoding="utf-8")
     config = demo_experiment_config()
     config.update({"map": "map.osm", "world": "world.json"})
     config_path = tmp_path / "experiment.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
 
     records_out = tmp_path / "records.jsonl"
-    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "world.json" in err and "Traceback" not in err
-    assert not records_out.exists()
+    for i, edit in enumerate(_WORLD_EDITS):
+        world = edit(five_room_world().to_dict())
+        (tmp_path / "world.json").write_text(json.dumps(world), encoding="utf-8")
+        assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2, f"world edit {i}"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "world.json" in err and "Traceback" not in err
+        assert not records_out.exists()
+
+
+def test_simulate_resolves_fixtures_file_beside_config(tmp_path, capsys, monkeypatch):
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    (tmp_path / "world.json").write_text(json.dumps(five_room_world().to_dict()), encoding="utf-8")
+    (tmp_path / "fx.json").write_text("{}", encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json", "backend": {"kind": "scripted", "fixtures_file": "fx.json"}})
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+
+    assert main(["simulate", str(config_path), "-o", "records.jsonl"]) == 0
+    capsys.readouterr()
+    # the empty fixture file answers no prompt: every retrieval fails, recorded
+    records = [json.loads(line) for line in (elsewhere / "records.jsonl").read_text().splitlines()]
+    assert records and all(r["failure_reason"].startswith("retrieval failed") for r in records)
 
 
 @pytest.mark.parametrize(
     "drop, extra, wanted",
-    [("granularity", {}, "granularity"), (None, {"visits": [5]}, "malformed")],
+    [
+        ("granularity", {}, "granularity"),
+        (None, {"visits": [5]}, "malformed"),
+        (None, {"plan_nodes": [1, 2]}, "plan_nodes[0]"),
+        (
+            None,
+            {"plan_nodes": [{"node_id": 1, "room_id": 2, "x": 0.0, "y": 0.0, "distance_to_gt": "far"}]},
+            "plan_nodes[0].distance_to_gt",
+        ),
+        (None, {"success": True, "success_node_distance_m": "near"}, "success_node_distance_m"),
+        (None, {"success": True, "success_node_distance_m": 0.5, "driven_length_m": "far"}, "driven_length_m"),
+        (None, {"category": 5}, "category"),
+        (None, {"granularity": ["o"]}, "granularity"),
+    ],
 )
 def test_eval_bad_record_is_config_error(tmp_path, capsys, drop, extra, wanted):
     from osmag_nav.episode import EpisodeRecord
@@ -291,6 +366,30 @@ def test_query_live_without_endpoint_is_config_error(fixture_files, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "endpoint" in err and "sk-test" not in err
+
+
+@pytest.mark.parametrize("command, code", [("simulate", 2), ("enrich", 1)])
+def test_input_file_that_is_not_json_is_named(fixture_files, capsys, command, code):
+    tmp_path, map_path, _ = fixture_files
+    bad = tmp_path / "not_json.json"
+    bad.write_text("not json", encoding="utf-8")
+    args = {
+        "simulate": ["simulate", str(bad), "-o", str(tmp_path / "records.jsonl")],
+        "enrich": ["enrich", str(map_path), str(bad), "-o", str(tmp_path / "enriched.osm")],
+    }[command]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not_json.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["", "   "])
+def test_query_empty_object_is_config_error(fixture_files, capsys, text):
+    _, map_path, _ = fixture_files
+    assert main(["query", str(map_path), text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "query object" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("keys", [5, {"sink||0": True}, ["sink||0", 3]])

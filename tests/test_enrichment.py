@@ -193,6 +193,7 @@ def test_ingest_orphan_skipped_with_reason(bare_map):
     assert report.applied["instances"] == 0
     assert report.skipped["instances"] == 1
     assert any("ghost" in reason for reason in report.reasons)
+    assert report.reasons == ["instance 'ghost' at (-50.00, -50.00) lies outside every area"]
     assert serialize_osmag(m) == serialize_osmag(bare_map)
 
 
@@ -200,6 +201,7 @@ def test_instance_beyond_the_globe_is_orphan(bare_map):
     m, report, new = _ingest_one(bare_map, "instances", {"label": "sink", "x": 1e308, "y": 1e308})
     assert report.skipped["instances"] == 1
     assert "lies outside every area" in report.reasons[0]
+    assert len(report.reasons[0]) < 80, report.reasons[0]
     assert new == []
 
 

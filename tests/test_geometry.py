@@ -10,13 +10,12 @@ from osmag_nav.geometry import (
     GeoPoint,
     GeometryError,
     MetricPoint,
-    haversine_m,
     point_in_ring,
     project,
     ring_is_simple,
     unproject,
 )
-from oracles import winding_number_inside
+from oracles import haversine_m, winding_number_inside
 
 ORIGIN = GeoPoint(31.0, 121.0)
 

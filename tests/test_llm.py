@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from osmag_nav.llm import (
+    BackendError,
     BackendUnavailableError,
     CompletionRequest,
     CredentialError,
@@ -52,6 +53,38 @@ def test_make_backend_kinds(tmp_path):
     fixture_file.write_text(json.dumps({"abc": "reply"}), encoding="utf-8")
     scripted = make_backend({"kind": "scripted", "fixtures_file": str(fixture_file)})
     assert scripted.fixtures == {"abc": "reply"}
+
+
+@pytest.mark.parametrize("replies", [[1, 2], {"abc": 5}, "reply"])
+def test_scripted_fixtures_map_keys_to_reply_strings(tmp_path, replies):
+    fixture_file = tmp_path / "replies.json"
+    fixture_file.write_text(json.dumps(replies), encoding="utf-8")
+    with pytest.raises(BackendError, match="replies.json"):
+        make_backend({"kind": "scripted", "fixtures_file": str(fixture_file)})
+    with pytest.raises(BackendError, match="fixtures"):
+        make_backend({"kind": "scripted", "fixtures": replies})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout_s", 0),
+        ("timeout_s", -1.0),
+        ("timeout_s", "abc"),
+        ("retries", 0),
+        ("retries", 1.5),
+        ("max_in_flight", 0),
+        ("max_in_flight", -1),
+        ("max_in_flight", True),
+    ],
+)
+def test_make_backend_live_bounds(monkeypatch, field, value):
+    monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
+    spec = {"kind": "live", "endpoint": "http://localhost:1", field: value}
+    with pytest.raises(BackendError, match=field):
+        make_backend(spec)
+    backend = make_backend({**spec, field: 1})  # the least value in bounds builds; no request is made
+    assert isinstance(backend, LiveBackend)
 
 
 def test_live_backend_requires_credential(monkeypatch):

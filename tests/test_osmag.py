@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mapgen
+import oracles
 from osmag_nav.geometry import GeoPoint, MetricPoint, unproject
 from osmag_nav.osmag import (
     MapNode,
@@ -12,7 +13,6 @@ from osmag_nav.osmag import (
     containing_area,
     containing_area_metric,
     map_size_bytes,
-    maps_semantically_equal,
     parse_osmag,
     serialize_osmag,
     validate,
@@ -120,7 +120,7 @@ def test_round_trip_synthetic(seed):
     assert validate(m) == []
     text = serialize_osmag(m)
     again = parse_osmag(text)
-    assert maps_semantically_equal(m, again)
+    assert oracles.maps_semantically_equal(m, again)
     # canonical fixed point
     assert serialize_osmag(again) == text
 
@@ -189,7 +189,7 @@ def test_validated_map_survives_round_trip(bare_map, enriched_map):
     for m in (bare_map, enriched_map, mapgen.nested_map(), mapgen.two_room_map()):
         assert validate(m) == []
         again = parse_osmag(serialize_osmag(m))
-        assert maps_semantically_equal(m, again)
+        assert oracles.maps_semantically_equal(m, again)
 
 
 def test_containing_area_simple(bare_map):

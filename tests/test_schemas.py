@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from osmag_nav.cli import main
+from osmag_nav.enrichment import EnrichmentError, parse_records
+from osmag_nav.evalkit import EvalError, run_experiment
+from osmag_nav.fields import ConfigError
+from osmag_nav.gridworld import WorldModel
+from osmag_nav.llm import BackendError
 from osmag_nav.fixtures import (
     demo_experiment_config,
     five_room_records,
@@ -62,3 +69,89 @@ def test_demo_outputs_validate(tmp_path, capsys):
     schema = _schema("experiment.schema.json")
     schema["properties"]["profile"] = _schema("profile.schema.json")
     jsonschema.validate(experiment, schema)
+
+
+_DROP = object()
+_REPLACEMENTS = (_DROP, "abc", 5, -1, 0, 2.5, float("nan"), True, None, [], {})
+
+
+def _key_paths(doc, path=()):
+    """Every key path of ``doc``, the document itself first. Items of one
+    array share one shape, so the first item stands for all of them."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from _key_paths(doc[0], path + (0,))
+
+
+def _mutations(doc):
+    """(path, mutated document) for every key path and replacement: the key
+    dropped, a value of another type, NaN, or a value out of range."""
+    for path in _key_paths(doc):
+        for value in _REPLACEMENTS:
+            if not path:
+                if value is not _DROP:
+                    yield path, value
+                continue
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path + (("dropped",) if value is _DROP else (value,)), mutated
+
+
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo")
+    assert main(["demo", "-o", str(out)]) == 0
+    return out
+
+
+def _world_loader(tmp_path):
+    def load(doc):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        WorldModel.from_file(str(path))
+
+    return load
+
+
+@pytest.mark.parametrize("artifact", ["world.json", "records.json", "experiment.json"])
+def test_schema_rejection_implies_loader_rejection(demo_dir, tmp_path, artifact):
+    """Every mutation of a demo artifact that its schema rejects, its loader
+    rejects too, with the loader's typed error."""
+    doc = json.loads((demo_dir / artifact).read_text())
+    if artifact == "world.json":
+        schema, load, errors = _schema("world.schema.json"), _world_loader(tmp_path), ConfigError
+    elif artifact == "records.json":
+        schema, load, errors = _schema("records.schema.json"), parse_records, EnrichmentError
+    else:
+        schema = _schema("experiment.schema.json")
+        schema["properties"]["profile"] = _schema("profile.schema.json")
+        errors = (EvalError, BackendError)
+
+        def load(config):
+            run_experiment(config, base_dir=str(demo_dir))
+
+    validator = jsonschema.Draft202012Validator(schema)
+    missed, checked = [], 0
+    for path, mutated in _mutations(doc):
+        if validator.is_valid(mutated):
+            continue
+        checked += 1
+        try:
+            load(mutated)
+        except errors:
+            continue
+        except Exception as exc:  # the wrong error is as much a miss as none
+            missed.append((path, f"{type(exc).__name__}: {exc}"))
+            continue
+        missed.append((path, "accepted"))
+    assert checked > 50
+    assert not missed, missed
