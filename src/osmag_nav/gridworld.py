@@ -22,7 +22,6 @@ from .osmag import OsmagError, SemanticMap
 
 FREE = 0
 OCCUPIED = 1
-UNKNOWN = 2  # treated as Free by planning; only sensing can confirm it Free
 
 ROOT2 = math.sqrt(2.0)
 
@@ -89,10 +88,11 @@ class OccupancyGrid:
         return int(self.cells[cell[1], cell[0]])
 
     def to_pgm(self) -> str:
-        """Plain PGM (P2): free 254, occupied 0, unknown 205."""
+        """Plain PGM (P2): free 254, occupied 0. A grid holds no other state:
+        sensing only ever adds occupied cells, and the free cells
+        :func:`sense` reports are never applied to the grid."""
         shade = np.full(self.cells.shape, 254, dtype=np.int32)
         shade[self.cells == OCCUPIED] = 0
-        shade[self.cells == UNKNOWN] = 205
         lines = ["P2", f"{self.width} {self.height}", "255"]
         for row in shade[::-1]:  # north-up image
             lines.append(" ".join(str(v) for v in row))
@@ -200,6 +200,11 @@ class WorldModel:
         segs = [s for ob in self.obstacles for s in ob.segments()]
         self.segments = (
             np.asarray(segs, dtype=float) if segs else np.zeros((0, 4), dtype=float)
+        )
+        # per-segment bounding box (xmin, ymin, xmax, ymax), for range culling
+        self._boxes = np.hstack(
+            [np.minimum(self.segments[:, :2], self.segments[:, 2:]),
+             np.maximum(self.segments[:, :2], self.segments[:, 2:])]
         )
 
     def instances_of(self, label: str) -> list[tuple[int, ObjectInstance]]:
@@ -469,6 +474,11 @@ def _ray_hits(
     return hits
 
 
+# widens the range square by more than the distance a hit may lie beyond a
+# segment's end (the u tolerance of _ray_hits) for segments up to 1 km
+_CULL_MARGIN_M = 1e-6
+
+
 def sense(
     world: WorldModel,
     pose: tuple[float, float, float],
@@ -476,33 +486,41 @@ def sense(
 ) -> tuple[list[Cell], list[Cell]]:
     """Cast the sensor's rays against world geometry from ``pose`` (x, y, heading).
 
-    Returns (occupied_cells, confirmed_free_cells). The first hit cell per ray
-    is occupied; cells traversed before the hit are confirmed free. Purely
-    geometric: the grid is consulted only for bounds/indexing.
+    Returns (occupied_cells, free_cells). The first hit cell per ray is
+    occupied, listed once in ray order; the other cells the rays cross before
+    their hits are free, in row-major order. The free list is reported but
+    never applied to a grid: :func:`apply_sense_updates` takes the occupied
+    cells only. Purely geometric: the grid is consulted only for
+    bounds/indexing.
     """
     x, y, heading = pose
     sensor = world.sensor
     dirs = _ray_directions(heading, sensor)
-    hits = _ray_hits((x, y), dirs, world.segments, sensor.range_m)
+    # an in-range hit lies in the range square, so only segments whose box
+    # meets it can hit; the others would only yield t beyond the range
+    r = sensor.range_m + _CULL_MARGIN_M
+    boxes = world._boxes
+    near = (
+        (boxes[:, 0] <= x + r) & (boxes[:, 2] >= x - r)
+        & (boxes[:, 1] <= y + r) & (boxes[:, 3] >= y - r)
+    )
+    hits = _ray_hits((x, y), dirs, world.segments[near], sensor.range_m)
 
     res = grid.resolution
     ox, oy = grid.origin.x, grid.origin.y
     w, h = grid.width, grid.height
 
-    occupied: list[Cell] = []
-    occupied_set: set[Cell] = set()
     finite = np.isfinite(hits)
-    if finite.any():
-        hx = x + dirs[finite, 0] * hits[finite]
-        hy = y + dirs[finite, 1] * hits[finite]
-        cx = np.floor((hx - ox) / res).astype(np.int64)
-        cy = np.floor((hy - oy) / res).astype(np.int64)
-        ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        for a, b in zip(cx[ok], cy[ok]):
-            cell = (int(a), int(b))
-            if cell not in occupied_set:
-                occupied_set.add(cell)
-                occupied.append(cell)
+    hx = x + dirs[finite, 0] * hits[finite]
+    hy = y + dirs[finite, 1] * hits[finite]
+    cx = np.floor((hx - ox) / res).astype(np.int64)
+    cy = np.floor((hy - oy) / res).astype(np.int64)
+    ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+    cx, cy = cx[ok], cy[ok]
+    first = np.unique(cy * w + cx, return_index=True)[1]
+    first.sort()
+    occ_x, occ_y = cx[first], cy[first]
+    occupied = list(zip(occ_x.tolist(), occ_y.tolist()))
 
     # free confirmations: sample each ray at half-resolution up to its hit
     step = res * 0.5
@@ -515,27 +533,24 @@ def sense(
     cx = np.floor((px - ox) / res).astype(np.int64)
     cy = np.floor((py - oy) / res).astype(np.int64)
     ok = valid & (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-    flat = np.unique(cy[ok] * w + cx[ok])
-    free = []
-    for f in flat:
-        cell = (int(f % w), int(f // w))
-        if cell not in occupied_set:
-            free.append(cell)
+    cx, cy = cx[ok], cy[ok]
+    if cx.size == 0:
+        return occupied, []
+    # mark the samples in a window spanning them; its row-major order is the grid's
+    x0, y0 = cx.min(), cy.min()
+    window = np.zeros((cy.max() - y0 + 1, cx.max() - x0 + 1), dtype=bool)
+    window[cy - y0, cx - x0] = True
+    span_y, span_x = window.shape
+    inside = (occ_x >= x0) & (occ_x < x0 + span_x) & (occ_y >= y0) & (occ_y < y0 + span_y)
+    window[occ_y[inside] - y0, occ_x[inside] - x0] = False
+    idx = np.flatnonzero(window)
+    free = list(zip((idx % span_x + x0).tolist(), (idx // span_x + y0).tolist()))
     return occupied, free
 
 
-def apply_sense_updates(
-    grid: OccupancyGrid, occupied: list[Cell], free: list[Cell]
-) -> list[Cell]:
-    """Apply a sense delta in place; returns cells that newly became occupied.
-
-    Free confirmations only ever upgrade UNKNOWN cells: a map wall is never
-    freed by sensing.
-    """
-    if free:
-        arr = np.asarray(free, dtype=np.int64)
-        unknown = grid.cells[arr[:, 1], arr[:, 0]] == UNKNOWN
-        grid.cells[arr[unknown, 1], arr[unknown, 0]] = FREE
+def apply_sense_updates(grid: OccupancyGrid, occupied: list[Cell]) -> list[Cell]:
+    """Mark sensed occupied cells in place; returns the cells that newly
+    became occupied, in the order given. Sensing never frees a cell."""
     newly = []
     for cell in occupied:
         if grid.cells[cell[1], cell[0]] != OCCUPIED:
@@ -638,8 +653,7 @@ def navigate(
         nxt = path.cells[step_idx + 1]
         heading = math.degrees(math.atan2(nxt[1] - pose[1], nxt[0] - pose[0]))
         px, py = grid.center_of(pose)
-        occ_cells, free_cells = sense(world, (px, py, heading), grid)
-        newly = apply_sense_updates(grid, occ_cells, free_cells)
+        newly = apply_sense_updates(grid, sense(world, (px, py, heading), grid)[0])
         if newly:
             remaining = path.cells[step_idx + 1 :]
             newly_set = set(newly)

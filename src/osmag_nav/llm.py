@@ -101,7 +101,9 @@ class LiveBackend(TextBackend):
     """OpenAI-compatible chat-completions client with bounded retries.
 
     The credential comes from the environment only (never a flag or file) and
-    is never echoed. A call can block at most timeout x retries.
+    is never echoed. A call can block at most timeout x retries. A bound out of
+    range (``timeout_s`` not finite and positive, ``retries`` or
+    ``max_in_flight`` below 1) raises :class:`BackendError` naming the field.
     """
 
     kind = "live"
@@ -115,15 +117,16 @@ class LiveBackend(TextBackend):
         retries: int = DEFAULT_RETRIES,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     ):
+        f = Fields("backend", BackendError)
+        self.timeout_s = f.number(timeout_s, "timeout_s", above=0)
+        self.retries = f.integer(retries, "retries", minimum=1)
+        self._gate = threading.Semaphore(f.integer(max_in_flight, "max_in_flight", minimum=1))
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise CredentialError(f"set {API_KEY_ENV} to use the live backend")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self._api_key = key
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self._gate = threading.Semaphore(max_in_flight)
 
     def complete_text(self, req: CompletionRequest) -> str:
         import requests
@@ -190,9 +193,9 @@ def make_backend(spec: dict, base_dir: str = ".") -> TextBackend:
         return LiveBackend(
             endpoint=f.typed(str, spec["endpoint"], "endpoint"),
             model=f.typed(str, spec.get("model", "gpt-4o"), "model"),
-            timeout_s=f.number(spec.get("timeout_s", DEFAULT_TIMEOUT_S), "timeout_s", above=0),
-            retries=f.integer(spec.get("retries", DEFAULT_RETRIES), "retries", minimum=1),
-            max_in_flight=f.integer(spec.get("max_in_flight", DEFAULT_MAX_IN_FLIGHT), "max_in_flight", minimum=1),
+            timeout_s=spec.get("timeout_s", DEFAULT_TIMEOUT_S),
+            retries=spec.get("retries", DEFAULT_RETRIES),
+            max_in_flight=spec.get("max_in_flight", DEFAULT_MAX_IN_FLIGHT),
         )
     from .retrieval import HeuristicBackend
 

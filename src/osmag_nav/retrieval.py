@@ -338,12 +338,15 @@ def normalize_tokens(text: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def token_set_similarity(a: str, b: str) -> float:
-    """Jaccard similarity of normalized token sets."""
-    ta, tb = normalize_tokens(a), normalize_tokens(b)
+def _jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
     if not ta or not tb:
         return 0.0
     return len(ta & tb) / len(ta | tb)
+
+
+def token_set_similarity(a: str, b: str) -> float:
+    """Jaccard similarity of normalized token sets."""
+    return _jaccard(normalize_tokens(a), normalize_tokens(b))
 
 
 @dataclass
@@ -388,11 +391,11 @@ def parse_prompt_map(user_text: str) -> tuple[list[_PromptArea], Query]:
     return areas, query
 
 
-def _node_score(query_object: str, kind: str, value: str) -> float:
+def _node_score(query_tokens: frozenset[str], kind: str, value: str) -> float:
     if kind == "object":
-        return token_set_similarity(query_object, value)
+        return _jaccard(query_tokens, normalize_tokens(value))
     items = [part.strip() for part in value.split(";") if part.strip()]
-    return max((token_set_similarity(query_object, item) for item in items), default=0.0)
+    return max((_jaccard(query_tokens, normalize_tokens(item)) for item in items), default=0.0)
 
 
 def heuristic_plan(areas: list[_PromptArea], query: Query) -> dict:
@@ -403,16 +406,19 @@ def heuristic_plan(areas: list[_PromptArea], query: Query) -> dict:
         if matching:
             candidates = matching
 
+    # the query is tokenized once; only map texts are tokenized per area
+    wanted = normalize_tokens(query.object)
+    room = normalize_tokens(query.room) if query.room is not None else None
     scored = []
     for area in candidates:
         node_scores = [
-            (_node_score(query.object, kind, value), nid) for nid, kind, value in area.nodes
+            (_node_score(wanted, kind, value), nid) for nid, kind, value in area.nodes
         ]
         best_node = max((s for s, _ in node_scores), default=0.0)
-        desc = token_set_similarity(query.object, area.description)
+        desc = _jaccard(wanted, normalize_tokens(area.description))
         score = max(best_node, desc)
-        if query.room is not None:
-            score += 2.0 * token_set_similarity(query.room, area.name)
+        if room is not None:
+            score += 2.0 * _jaccard(room, normalize_tokens(area.name))
         scored.append((score, area, node_scores))
 
     scored.sort(key=lambda item: (-item[0], item[1].area_id))

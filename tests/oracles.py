@@ -4,7 +4,9 @@ Everything here is a second code path on purpose: plain Dijkstra instead of
 A*, winding numbers instead of even-odd crossing, direct arithmetic over
 record dicts instead of the evalkit fold, a per-area scan of raw tags instead
 of the one-pass map simplification, map equality field by field instead of
-serialized bytes, and great-circle distance instead of the local projection.
+serialized bytes, great-circle distance instead of the local projection, and
+every ray against every wall with per-cell sets instead of the range-culled,
+array-built sense.
 Keep these free of imports from the package's corresponding modules'
 internals.
 """
@@ -14,6 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 import re
+
+import numpy as np
 
 from osmag_nav.geometry import EARTH_RADIUS_M
 from osmag_nav.osmag import FROM_KEY, TO_KEY
@@ -276,3 +280,84 @@ def haversine_m(a, b) -> float:
     dlam = math.radians(b.lon - a.lon)
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(s))
+
+
+def _bf_ray_directions(heading_deg: float, sensor) -> np.ndarray:
+    if sensor.fov_deg >= 360.0:
+        angles = heading_deg + np.arange(sensor.rays) * (360.0 / sensor.rays)
+    else:
+        angles = np.linspace(
+            heading_deg - sensor.fov_deg / 2.0, heading_deg + sensor.fov_deg / 2.0, sensor.rays
+        )
+    rad = np.deg2rad(angles)
+    return np.stack([np.cos(rad), np.sin(rad)], axis=1)
+
+
+def _bf_ray_hits(origin_xy, dirs: np.ndarray, segments: np.ndarray, max_range: float) -> np.ndarray:
+    """First-hit distance per ray (inf when nothing within range)."""
+    n_rays = dirs.shape[0]
+    if segments.shape[0] == 0:
+        return np.full(n_rays, np.inf)
+    px, py = origin_xy
+    ax, ay = segments[:, 0], segments[:, 1]
+    sx, sy = segments[:, 2] - ax, segments[:, 3] - ay
+    dx = dirs[:, 0][:, None]  # rays x 1
+    dy = dirs[:, 1][:, None]
+    denom = dx * sy[None, :] - dy * sx[None, :]
+    wx = (ax - px)[None, :]
+    wy = (ay - py)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (wx * sy[None, :] - wy * sx[None, :]) / denom
+        u = (wx * dy - wy * dx) / denom
+    valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+    t = np.where(valid, t, np.inf)
+    hits = t.min(axis=1)
+    hits[hits > max_range] = np.inf
+    return hits
+
+
+def bf_sense(world, pose, grid):
+    """``sense`` as it was before range culling: every ray against every world
+    segment, occupied and free cells deduplicated through a Python set."""
+    x, y, heading = pose
+    sensor = world.sensor
+    dirs = _bf_ray_directions(heading, sensor)
+    hits = _bf_ray_hits((x, y), dirs, world.segments, sensor.range_m)
+
+    res = grid.resolution
+    ox, oy = grid.origin.x, grid.origin.y
+    w, h = grid.width, grid.height
+
+    occupied = []
+    occupied_set = set()
+    finite = np.isfinite(hits)
+    if finite.any():
+        hx = x + dirs[finite, 0] * hits[finite]
+        hy = y + dirs[finite, 1] * hits[finite]
+        cx = np.floor((hx - ox) / res).astype(np.int64)
+        cy = np.floor((hy - oy) / res).astype(np.int64)
+        ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        for a, b in zip(cx[ok], cy[ok]):
+            cell = (int(a), int(b))
+            if cell not in occupied_set:
+                occupied_set.add(cell)
+                occupied.append(cell)
+
+    # free confirmations: sample each ray at half-resolution up to its hit
+    step = res * 0.5
+    reach = np.where(finite, hits, sensor.range_m) - 1e-9
+    max_n = int(sensor.range_m / step) + 1
+    ts = np.arange(1, max_n + 1) * step
+    valid = ts[None, :] < reach[:, None]
+    px = x + dirs[:, 0:1] * ts[None, :]
+    py = y + dirs[:, 1:2] * ts[None, :]
+    cx = np.floor((px - ox) / res).astype(np.int64)
+    cy = np.floor((py - oy) / res).astype(np.int64)
+    ok = valid & (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+    flat = np.unique(cy[ok] * w + cx[ok])
+    free = []
+    for f in flat:
+        cell = (int(f % w), int(f // w))
+        if cell not in occupied_set:
+            free.append(cell)
+    return occupied, free

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import mapgen
-from oracles import dijkstra_cost, ray_rect_hit
+from oracles import bf_sense, dijkstra_cost, ray_rect_hit
 from osmag_nav.geometry import MetricPoint
 from osmag_nav.gridworld import (
     FREE,
     OCCUPIED,
     ROOT2,
-    UNKNOWN,
     NoPathError,
     Obstacle,
     OccupancyGrid,
@@ -253,14 +252,59 @@ def test_sense_is_conservative_no_hallucinated_obstacles():
             assert touches
 
 
-def test_apply_updates_never_frees_walls():
+def _oracle_case(rng, sensor, px, py):
+    """A pose at (px, py) and a random world of rects and segments, plus
+    segments across and along the pose's first ray whose near end lies just
+    inside or just beyond ``sensor.range_m``."""
+    # the first ray points at ``first`` degrees; half the time along an axis
+    first = 90.0 * int(rng.integers(4)) if rng.random() < 0.5 else rng.uniform(-180.0, 180.0)
+    heading = first if sensor.fov_deg >= 360.0 else first + sensor.fov_deg / 2.0
+    obstacles = []
+    for _ in range(int(rng.integers(0, 6))):
+        x0, y0 = rng.uniform(-2, 12), rng.uniform(-2, 10)
+        obstacles.append(Obstacle("rect", (x0, y0, x0 + rng.uniform(0.1, 2), y0 + rng.uniform(0.1, 2))))
+    for _ in range(int(rng.integers(0, 6))):
+        obstacles.append(Obstacle("segment", tuple(rng.uniform(-2, 12, 4))))
+    ux, uy = np.cos(np.deg2rad(first)), np.sin(np.deg2rad(first))
+    for _ in range(int(rng.integers(0, 4))):
+        d = sensor.range_m + rng.choice([-1e-3, -1e-7, 0.0, 1e-7, 2e-6, 1e-3])
+        ax, ay = px + d * ux, py + d * uy
+        if rng.random() < 0.7:  # across the ray, centred on it
+            obstacles.append(Obstacle("segment", (ax - uy, ay + ux, ax + uy, ay - ux)))
+        else:  # along the ray, pointing away from the pose
+            obstacles.append(Obstacle("segment", (ax, ay, ax + ux, ay + uy)))
+    return (px, py, heading), WorldModel(obstacles, [], sensor)
+
+
+def test_sense_matches_oracle():
+    # the range-culled, array-built sense equals the all-segments, per-cell
+    # oracle, order included
+    rng = np.random.default_rng(11)
+    grid = _empty_grid(100, 80, 0.1)  # 10 m x 8 m
+    sensors = [
+        _lidar(fov=360.0, range_m=4.0, rays=90),
+        _lidar(fov=120.0, range_m=4.0, rays=61),
+        _lidar(fov=8.0, range_m=2.5, rays=5),
+        _lidar(fov=360.0, range_m=1.0, rays=1),
+    ]
+    for trial in range(400):
+        sensor = sensors[trial % len(sensors)]
+        # poses inside, near and beyond the grid edge
+        px, py = rng.uniform(-1.5, 11.5), rng.uniform(-1.5, 9.5)
+        if trial % 5 == 0:
+            px = rng.choice([0.01, 9.99, -0.3, 10.3])
+        pose, world = _oracle_case(rng, sensor, px, py)
+        if trial % 10 == 0:
+            world = WorldModel([], [], sensor)
+        assert sense(world, pose, grid) == bf_sense(world, pose, grid), (trial, pose)
+
+
+def test_apply_updates_returns_newly_occupied():
     grid = _empty_grid(10, 10)
     grid.cells[5, 5] = OCCUPIED
-    grid.cells[4, 4] = UNKNOWN
-    newly = apply_sense_updates(grid, [(2, 2)], [(5, 5), (4, 4)])
-    assert grid.at((5, 5)) == OCCUPIED  # wall survives a free confirmation
-    assert grid.at((4, 4)) == FREE  # unknown upgrades
-    assert newly == [(2, 2)]
+    newly = apply_sense_updates(grid, [(2, 2), (5, 5), (7, 1)])
+    assert newly == [(2, 2), (7, 1)]
+    assert {(x, y) for y, x in zip(*np.nonzero(grid.cells))} == {(2, 2), (5, 5), (7, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -85,6 +86,27 @@ def test_make_backend_live_bounds(monkeypatch, field, value):
         make_backend(spec)
     backend = make_backend({**spec, field: 1})  # the least value in bounds builds; no request is made
     assert isinstance(backend, LiveBackend)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("timeout_s", 0),
+        ("timeout_s", -1.0),
+        ("timeout_s", math.nan),
+        ("timeout_s", math.inf),
+        ("retries", 0),
+        ("retries", -2),
+        ("max_in_flight", 0),
+        ("max_in_flight", -1),
+    ],
+)
+def test_live_backend_rejects_bounds_itself(field, value):
+    # built directly, without make_backend; no request is made
+    kwargs = {"endpoint": "http://localhost:1", "model": "m", "api_key": "sk-test"}
+    with pytest.raises(BackendError, match=f"field '{field}'"):
+        LiveBackend(**kwargs, **{field: value})
+    assert isinstance(LiveBackend(**kwargs, **{field: 1}), LiveBackend)
 
 
 def test_live_backend_requires_credential(monkeypatch):

@@ -345,6 +345,27 @@ def test_heuristic_floor_filter(enriched_map, heuristic_backend):
     assert plan.rooms[0].area_id == 105
 
 
+def test_heuristic_tokenizes_the_query_once(monkeypatch, enriched_map):
+    import osmag_nav.retrieval as retrieval
+
+    areas, query = retrieval.parse_prompt_map(
+        build_prompt(enriched_map, Query("Sinks", room="Lounges")).user_text
+    )
+    seen: list[str] = []
+    tokenize = retrieval.normalize_tokens
+
+    def counted(text):
+        seen.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(retrieval, "normalize_tokens", counted)
+    plan = retrieval.heuristic_plan(areas, query)
+    assert plan["rooms"][0]["room_id"] == 105
+    # no map text reads "Sinks" or "Lounges", so each count is the query's own
+    assert seen.count("Sinks") == 1
+    assert seen.count("Lounges") == 1
+
+
 # ---------------------------------------------------------------------------
 # adversarial fuzzing (mirrors the acceptance criterion at smaller scale)
 
