@@ -20,13 +20,14 @@ from .evalkit import (
     EvalError,
     apl as apl_metric,
     compute_report,
+    record_key,
     report_to_csv,
     run_experiment,
 )
 from .episode import EpisodeError, read_records, write_records
 from .fields import ConfigError, Fields
 from .geometry import GeometryError
-from .gridworld import render_grid
+from .gridworld import DEFAULT_RESOLUTION_M, render_grid
 from .llm import BACKEND_KINDS, BackendError, make_backend
 from .osmag import (
     MapParseError,
@@ -157,9 +158,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = compute_report(records, map_size=size)
     payload = report.to_dict()
     if args.apl_intersect:
-        f = Fields(f"--apl-intersect {args.apl_intersect}", EvalError)
-        baseline_keys = f.typed(list[str], f.parse(_read_text(args.apl_intersect)), "")
-        mean, count = apl_metric(records, set(baseline_keys))
+        solved = {record_key(rec) for rec in read_records(args.apl_intersect) if rec.success}
+        mean, count = apl_metric(records, solved)
         payload["apl_intersected_m"] = mean
         payload["apl_intersected_count"] = count
     if args.output:
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="rasterize a map to an occupancy grid (PGM + sidecar)")
     p.add_argument("map")
-    p.add_argument("--res", type=float, default=0.1)
+    p.add_argument("--res", type=float, default=DEFAULT_RESOLUTION_M)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_render)
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir-mode", choices=DIR_MODES, default="all_queries")
     p.add_argument(
         "--apl-intersect",
-        help="JSON file with a baseline's success keys; restricts APL to episodes both systems solved",
+        help="a baseline's episode-records file; restricts APL to episodes both systems solved",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)

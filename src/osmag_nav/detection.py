@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridworld import WorldModel
+from .gridworld import WorldModel, _ray_hits
 
 
 class DetectionConfigError(ValueError):
@@ -72,24 +72,6 @@ def _wrap_deg(angle: float) -> float:
     return (angle + 180.0) % 360.0 - 180.0
 
 
-def _segment_blocks(
-    px: float, py: float, qx: float, qy: float, segments: np.ndarray
-) -> bool:
-    """True when any obstacle segment properly crosses the open sight line p->q."""
-    if segments.shape[0] == 0:
-        return False
-    rx, ry = qx - px, qy - py
-    ax, ay = segments[:, 0], segments[:, 1]
-    sx, sy = segments[:, 2] - ax, segments[:, 3] - ay
-    denom = rx * sy - ry * sx
-    wx, wy = ax - px, ay - py
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (wx * sy - wy * sx) / denom
-        u = (wx * ry - wy * rx) / denom
-    crossing = (np.abs(denom) > 1e-12) & (t > 1e-9) & (t < 1.0 - 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-    return bool(crossing.any())
-
-
 def visible_instances(
     world: WorldModel,
     pose: tuple[float, float, float],
@@ -109,7 +91,9 @@ def visible_instances(
             bearing = math.degrees(math.atan2(dy, dx))
             if abs(_wrap_deg(bearing - heading)) > half + 1e-9:
                 continue
-        if _segment_blocks(x, y, inst.position.x, inst.position.y, world.segments):
+        # cast the sight line as a ray whose unit length reaches the instance:
+        # a wall blocks it only when the first hit comes strictly before t = 1
+        if _ray_hits((x, y), np.array([[dx, dy]]), world.segments, math.inf)[0] < 1.0 - 1e-9:
             continue
         out.append(i)
     return out
@@ -124,15 +108,15 @@ def propose(
 ) -> list[Proposal]:
     """Confidence-ranked proposal list for one view.
 
-    Each visible instance whose label matches the query proposes with
-    probability ``p_propose_tp``; spurious proposals arrive Poisson(fp_rate).
+    Each visible instance whose label matches the query (the label rule of
+    :meth:`WorldModel.instances_of`) proposes with probability
+    ``p_propose_tp``; spurious proposals arrive Poisson(fp_rate).
     """
     x, y, _ = pose
-    wanted = query_object.strip().lower()
+    visible = set(visible_instances(world, pose))
     proposals: list[Proposal] = []
-    for idx in visible_instances(world, pose):
-        inst = world.instances[idx]
-        if inst.label.strip().lower() != wanted:
+    for idx, inst in world.instances_of(query_object):
+        if idx not in visible:
             continue
         if rng.random() < profile.p_propose_tp:
             conf = float(rng.uniform(*profile.conf_tp))
@@ -162,7 +146,6 @@ def detect_at_node(
     """Rotate through headings 0, step, ..., 360-step; stop at the first
     accepted proposal (verified in confidence order)."""
     x, y = node_pose
-    wanted = query_object.strip().lower()
     trace: list[dict] = []
     views = 0
     for heading in range(0, 360, profile.rotation_step_deg):
@@ -185,10 +168,7 @@ def detect_at_node(
                 break
         trace.append({"heading_deg": heading, "proposals": verdicts})
         if accepted is not None:
+            # propose attaches an instance only when its label is the query's
             matched = accepted.instance_ref
-            is_tp = (
-                matched is not None
-                and world.instances[matched].label.strip().lower() == wanted
-            )
-            return DetectionOutcome(True, matched, views, is_tp, trace)
+            return DetectionOutcome(True, matched, views, matched is not None, trace)
     return DetectionOutcome(False, None, views, False, trace)

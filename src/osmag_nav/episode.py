@@ -44,11 +44,11 @@ class EpisodeConfig:
     query: Query
     backend: TextBackend
     profile: DetectionProfile
+    start: MetricPoint
     seed: int = 0
     map_mode: str = "full"
     grid_resolution_m: float = DEFAULT_RESOLUTION_M
     inflation_radius_m: float = DEFAULT_INFLATION_M
-    start: MetricPoint | None = None  # None: use the world's start pose
     category: str | None = None  # SO / RO / UO annotation, carried into the record
 
 
@@ -182,14 +182,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeRecord:
             }
         )
 
-    start = cfg.start if cfg.start is not None else cfg.world.start
-    if start is None:
-        record.failure_reason = "no start pose (neither config nor world provides one)"
-        return record
-
-    map_grid = render_grid(cfg.map, cfg.grid_resolution_m)
-    current_grid = map_grid
-    current = start
+    current_grid = render_grid(cfg.map, cfg.grid_resolution_m)
+    current = cfg.start
 
     for room_id, node_id in flattened:
         goal = cfg.map.node_metric(node_id)

@@ -89,6 +89,17 @@ def point_segment_distance(
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def on_ring_boundary(x: float, y: float, ring: list[tuple[float, float]], tol: float) -> bool:
+    """True when (x, y) lies within ``tol`` of an edge of the closed ``ring``."""
+    n = len(ring)
+    for i in range(n):
+        ax, ay = ring[i]
+        bx, by = ring[(i + 1) % n]
+        if point_segment_distance(x, y, ax, ay, bx, by) <= tol:
+            return True
+    return False
+
+
 def point_in_ring(
     x: float,
     y: float,
@@ -102,12 +113,8 @@ def point_in_ring(
     n = len(ring)
     if n < 3:
         return False
-    if boundary_tol > 0.0:
-        for i in range(n):
-            ax, ay = ring[i]
-            bx, by = ring[(i + 1) % n]
-            if point_segment_distance(x, y, ax, ay, bx, by) <= boundary_tol:
-                return True
+    if boundary_tol > 0.0 and on_ring_boundary(x, y, ring, boundary_tol):
+        return True
     inside = False
     j = n - 1
     for i in range(n):

@@ -23,6 +23,9 @@ DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_RETRIES = 3
 DEFAULT_MAX_IN_FLIGHT = 4
 BACKEND_KINDS = ("heuristic", "scripted", "live")
+# every live request is greedy and capped: plans are short and must be repeatable
+TEMPERATURE = 0.0
+MAX_TOKENS = 1024
 
 
 class BackendError(Exception):
@@ -45,8 +48,6 @@ class MissingFixtureError(BackendError):
 class CompletionRequest:
     system_text: str
     user_text: str
-    max_tokens: int = 1024
-    temperature: float = 0.0
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
@@ -137,8 +138,8 @@ class LiveBackend(TextBackend):
                 {"role": "system", "content": req.system_text},
                 {"role": "user", "content": req.user_text},
             ],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         headers = {
             "Authorization": f"Bearer {self._api_key}",

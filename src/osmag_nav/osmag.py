@@ -20,8 +20,8 @@ from .geometry import (
     MAX_SUPPORTED_LAT,
     GeoPoint,
     MetricPoint,
+    on_ring_boundary,
     point_in_ring,
-    point_segment_distance,
     project,
     ring_is_simple,
     unproject,
@@ -41,6 +41,9 @@ DESCRIPTION_KEY = "semantic_osmAG:room_description"
 
 # semicolon-separated list convention for observed-object tag values
 OBSERVED_SEPARATOR = ";"
+
+# degree-space tolerance for a passage endpoint on an area's boundary
+PASSAGE_TOL_DEG = 1e-7
 
 
 class OsmagError(Exception):
@@ -353,7 +356,8 @@ def _passage_connects(
         ring = partial.area_ring_geo(area)
         if len(ring) < 3:
             continue
-        if all(_on_ring_boundary(partial.nodes[e].position, ring) for e in endpoints):
+        points = [partial.nodes[e].position for e in endpoints]
+        if all(on_ring_boundary(q.lon, q.lat, ring, PASSAGE_TOL_DEG) for q in points):
             touching.append(area.id)
     if len(touching) >= 2:
         return (touching[0], touching[1])
@@ -363,16 +367,6 @@ def _passage_connects(
         element_id=wid,
         line=_id_line(xml_text, wid),
     )
-
-
-def _on_ring_boundary(p: GeoPoint, ring: list[tuple[float, float]], tol: float = 1e-7) -> bool:
-    n = len(ring)
-    for i in range(n):
-        ax, ay = ring[i]
-        bx, by = ring[(i + 1) % n]
-        if point_segment_distance(p.lon, p.lat, ax, ay, bx, by) <= tol:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +479,8 @@ def validate(m: SemanticMap) -> list[Violation]:
             if len(ring) < 3:
                 continue
             for end in (p.segment[0], p.segment[-1]):
-                if not _on_ring_boundary(m.nodes[end].position, ring):
+                q = m.nodes[end].position
+                if not on_ring_boundary(q.lon, q.lat, ring, PASSAGE_TOL_DEG):
                     out.append(
                         Violation(
                             p.id,

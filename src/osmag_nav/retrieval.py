@@ -93,7 +93,6 @@ class PlanRoom:
 @dataclass
 class RetrievalPlan:
     rooms: list[PlanRoom]
-    raw_text: str = ""
     drops: list[str] = field(default_factory=list)
 
     def flatten(self) -> list[tuple[int, int]]:
@@ -195,38 +194,18 @@ def build_prompt(m: SemanticMap, query: Query, mode: str = "full") -> Completion
 # plan parsing
 
 
+_DECODER = json.JSONDecoder()
+
+
 def extract_first_json_object(text: str) -> dict | None:
-    """First balanced, loadable JSON object in ``text`` (fences/prose tolerated)."""
-    for start, ch in enumerate(text):
-        if ch != "{":
-            continue
-        depth = 0
-        in_str = False
-        escaped = False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_str:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_str = False
-            elif c == '"':
-                in_str = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(obj, dict):
-                        return obj
-                    break
-        # unbalanced or unloadable: retry from the next opening brace
+    """First loadable JSON object in ``text`` (fences/prose tolerated): the
+    one that starts at the earliest opening brace where one parses."""
+    start = text.find("{")
+    while start != -1:
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     return None
 
 
@@ -302,7 +281,7 @@ def parse_plan(text: str, m: SemanticMap) -> RetrievalPlan:
 
     if not rooms:
         raise PlanEmptyError("no valid rooms survived validation: " + "; ".join(drops[-3:]))
-    return RetrievalPlan(rooms=rooms, raw_text=text, drops=drops)
+    return RetrievalPlan(rooms=rooms, drops=drops)
 
 
 def retrieve(
@@ -317,8 +296,6 @@ def retrieve(
         retry_req = CompletionRequest(
             system_text=req.system_text,
             user_text=req.user_text + "\n" + CORRECTIVE_INSTRUCTION + "\n",
-            max_tokens=req.max_tokens,
-            temperature=req.temperature,
         )
         reply = complete(backend, retry_req)
         return parse_plan(reply, m)

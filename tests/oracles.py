@@ -6,7 +6,9 @@ record dicts instead of the evalkit fold, a per-area scan of raw tags instead
 of the one-pass map simplification, map equality field by field instead of
 serialized bytes, great-circle distance instead of the local projection, and
 every ray against every wall with per-cell sets instead of the range-culled,
-array-built sense.
+array-built sense, a brace-counting scanner instead of the standard library's
+JSON decoder, and a segment-crossing test instead of the sensor's first-hit
+ray cast.
 Keep these free of imports from the package's corresponding modules'
 internals.
 """
@@ -14,6 +16,7 @@ internals.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import re
 
@@ -361,3 +364,56 @@ def bf_sense(world, pose, grid):
         if cell not in occupied_set:
             free.append(cell)
     return occupied, free
+
+
+def bf_segment_blocks(
+    px: float, py: float, qx: float, qy: float, segments: np.ndarray
+) -> bool:
+    """True when any obstacle segment properly crosses the open sight line p->q."""
+    if segments.shape[0] == 0:
+        return False
+    rx, ry = qx - px, qy - py
+    ax, ay = segments[:, 0], segments[:, 1]
+    sx, sy = segments[:, 2] - ax, segments[:, 3] - ay
+    denom = rx * sy - ry * sx
+    wx, wy = ax - px, ay - py
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (wx * sy - wy * sx) / denom
+        u = (wx * ry - wy * rx) / denom
+    crossing = (np.abs(denom) > 1e-12) & (t > 1e-9) & (t < 1.0 - 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+    return bool(crossing.any())
+
+
+def bf_extract_first_json_object(text: str) -> dict | None:
+    """First balanced, loadable JSON object in ``text`` (fences/prose tolerated)."""
+    for start, ch in enumerate(text):
+        if ch != "{":
+            continue
+        depth = 0
+        in_str = False
+        escaped = False
+        for i in range(start, len(text)):
+            c = text[i]
+            if in_str:
+                if escaped:
+                    escaped = False
+                elif c == "\\":
+                    escaped = True
+                elif c == '"':
+                    in_str = False
+            elif c == '"':
+                in_str = True
+            elif c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        obj = json.loads(text[start : i + 1])
+                    except json.JSONDecodeError:
+                        break
+                    if isinstance(obj, dict):
+                        return obj
+                    break
+        # unbalanced or unloadable: retry from the next opening brace
+    return None

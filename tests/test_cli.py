@@ -392,25 +392,24 @@ def test_query_empty_object_is_config_error(fixture_files, capsys, text):
     assert "query object" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("keys", [5, {"sink||0": True}, ["sink||0", 3]])
-def test_eval_apl_intersect_needs_list_of_keys(tmp_path, capsys, keys):
+@pytest.mark.parametrize("line", [5, {"sink||0": True}, ["sink||0", 3], ["sink||0"]])
+def test_eval_apl_intersect_rejects_malformed_baseline(tmp_path, capsys, line):
     from osmag_nav.episode import EpisodeRecord
 
     records = tmp_path / "records.jsonl"
     records.write_text(EpisodeRecord("sink", None, None, "o", None, "full", 0).to_json() + "\n", encoding="utf-8")
-    keys_path = tmp_path / "keys.json"
-    keys_path.write_text(json.dumps(keys), encoding="utf-8")
-    assert main(["eval", str(records), "--apl-intersect", str(keys_path)]) == 2
+    baseline = tmp_path / "baseline.jsonl"
+    baseline.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    assert main(["eval", str(records), "--apl-intersect", str(baseline)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "apl-intersect" in err and "Traceback" not in err
+    assert str(baseline) in err and "Traceback" not in err
 
 
 def test_eval_reproduces_demo_report(tmp_path, capsys):
     import csv
 
-    from osmag_nav.episode import read_records
-    from osmag_nav.evalkit import record_key
+    from osmag_nav.episode import read_records, write_records
 
     demo = tmp_path / "demo"
     assert main(["demo", "-o", str(demo)]) == 0
@@ -431,15 +430,21 @@ def test_eval_reproduces_demo_report(tmp_path, capsys):
     for row in rows:
         assert row["DIR"] == f"{blocks[row['slice']]['dir']['failed_only']:.4f}"
 
-    solved = [record_key(rec) for rec in read_records(records) if rec.success]
-    keys_path = tmp_path / "keys.json"
-    keys_path.write_text(json.dumps(solved), encoding="utf-8")
     capsys.readouterr()
-    assert main(["eval", records, "--apl-intersect", str(keys_path), "--json"]) == 0
+    assert main(["eval", records, "--apl-intersect", records, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["apl_m"] is not None
     assert payload["apl_intersected_m"] == payload["apl_m"]
     assert payload["apl_intersected_count"] == payload["apl_count"]
+
+    # a baseline that solved none of the same episodes leaves nothing to average
+    failed = read_records(records)
+    for rec in failed:
+        rec.success = False
+    write_records(failed, str(tmp_path / "baseline.jsonl"))
+    assert main(["eval", records, "--apl-intersect", str(tmp_path / "baseline.jsonl"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["apl_intersected_m"], payload["apl_intersected_count"]) == (None, 0)
 
 
 def test_demo_seed_reproducible(tmp_path, capsys):

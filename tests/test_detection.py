@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bf_segment_blocks
 from osmag_nav.detection import (
     DetectionConfigError,
     DetectionProfile,
@@ -57,6 +58,59 @@ def test_visible_fov_cut():
 def test_visible_coincident_instance():
     world = _world([ObjectInstance("cup", MetricPoint(0.0, 0.0))])
     assert visible_instances(world, (0.0, 0.0, 0.0)) == [0]
+
+
+def _sight_case(rng, kind):
+    """(p, q, walls) for one sight-line case of the given kind."""
+    n = 0 if kind == "empty" else int(rng.integers(1, 9))
+    walls = rng.uniform(-1.0, 11.0, size=(n, 4))
+    p, q = rng.uniform(0.0, 10.0, size=2), rng.uniform(0.0, 10.0, size=2)
+    if kind == "axis":
+        # each wall horizontal or vertical; sight lines often along an axis too
+        for w in walls:
+            if rng.random() < 0.5:
+                w[3] = w[1]
+            else:
+                w[2] = w[0]
+        if rng.random() < 0.5:
+            axis = int(rng.integers(2))
+            q[axis] = p[axis]
+    elif kind == "integer":
+        # endpoints on shared lattice points: touching, collinear and end-on walls
+        walls, p, q = np.round(walls / 2.0), np.round(p / 2.0), np.round(q / 2.0)
+    elif kind == "zero":
+        q = p.copy()
+    return p, q, walls
+
+
+def test_line_of_sight_matches_segment_crossing_oracle():
+    # visible_instances blocks a sight line through the sensor's first-hit ray
+    # cast; the oracle is the segment-crossing test it replaced
+    rng = np.random.default_rng(23)
+    kinds = ("random", "axis", "integer", "empty", "zero")
+    blocked = 0
+    for trial in range(4000):
+        p, q, walls = _sight_case(rng, kinds[trial % len(kinds)])
+        world = WorldModel(
+            [Obstacle("segment", tuple(w)) for w in walls],
+            [ObjectInstance("cup", MetricPoint(*q))],
+            SensorConfig(fov_deg=360.0, range_m=100.0, rays=1),
+        )
+        expected = bf_segment_blocks(p[0], p[1], q[0], q[1], world.segments)
+        assert visible_instances(world, (p[0], p[1], 0.0)) == ([] if expected else [0]), (trial, p, q, walls)
+        blocked += expected
+    assert 500 < blocked < 3000
+
+
+@pytest.mark.parametrize("wall_x, visible", [(2.0, True), (2.0 - 1e-9, True), (2.0 - 1e-8, False)])
+def test_sight_line_stops_short_of_the_instance(wall_x, visible):
+    # the sight line ends at the instance (t = 1); a wall there, or within
+    # 1e-9 of the line's length before it, leaves the instance visible, and
+    # a wall 5e-9 of the length before it blocks
+    wall = Obstacle("segment", (wall_x, -1.0, wall_x, 1.0))
+    world = _world([ObjectInstance("cup", MetricPoint(2.0, 0.0))], [wall])
+    assert visible_instances(world, (0.0, 0.0, 0.0)) == ([0] if visible else [])
+    assert bf_segment_blocks(0.0, 0.0, 2.0, 0.0, world.segments) == (not visible)
 
 
 def test_propose_perfect_single_target():

@@ -17,6 +17,7 @@ def _cfg(enriched_map, demo_world, backend, profile, query, **kwargs):
         query=query,
         backend=backend,
         profile=profile,
+        start=demo_world.start,
         seed=kwargs.pop("seed", 7),
         **kwargs,
     )
@@ -110,22 +111,6 @@ def test_retrieval_failure_records_failed_episode(enriched_map, demo_world, demo
     assert rec.plan_nodes == []
 
 
-def test_missing_start_pose_fails_cleanly(enriched_map, heuristic_backend, demo_profile):
-    from osmag_nav.gridworld import SensorConfig, WorldModel
-
-    world = WorldModel([], [], SensorConfig())
-    cfg = EpisodeConfig(
-        map=enriched_map,
-        world=world,
-        query=Query("sink"),
-        backend=heuristic_backend,
-        profile=demo_profile,
-    )
-    rec = run_episode(cfg)
-    assert not rec.success
-    assert "start pose" in rec.failure_reason
-
-
 def test_rooms_only_episode_keeps_rank1_room(enriched_map, demo_world, heuristic_backend, demo_profile):
     rec = run_episode(
         _cfg(enriched_map, demo_world, heuristic_backend, demo_profile, Query("sink"), map_mode="rooms_only")
@@ -175,6 +160,7 @@ def test_unreachable_node_skipped_without_detection(enriched_map, heuristic_back
         query=Query("sink"),
         backend=heuristic_backend,
         profile=demo_profile,
+        start=world.start,
         seed=7,
     )
     rec = run_episode(cfg)

@@ -167,11 +167,11 @@ def test_live_backend_happy_path(live_server, monkeypatch):
     scenario, endpoint = live_server
     monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
     backend = LiveBackend(endpoint=endpoint, model="test-model", timeout_s=5.0)
-    reply = complete(backend, CompletionRequest(system_text="s", user_text="u", temperature=0.0))
+    reply = complete(backend, CompletionRequest(system_text="s", user_text="u"))
     assert reply == "live reply"
     body = scenario.bodies[0]
     assert body["model"] == "test-model"
-    assert body["temperature"] == 0.0
+    assert body["temperature"] == 0.0 and body["max_tokens"] == 1024
     assert [m["role"] for m in body["messages"]] == ["system", "user"]
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import bf_extract_first_json_object
 from osmag_nav.llm import CompletionRequest, ScriptedBackend, TextBackend
 from osmag_nav.retrieval import (
     MAP_HEADER,
@@ -164,7 +165,6 @@ def test_prompt_sections_in_order(enriched_map):
     assert "=== MAP REPRESENTATION ===" in req.system_text
     positions = [req.user_text.index(h) for h in (TASK_HEADER, MAP_HEADER, QUERY_HEADER)]
     assert positions == sorted(positions)
-    assert req.temperature == 0.0
 
 
 def test_prompt_contains_exact_query_string(enriched_map):
@@ -254,6 +254,40 @@ def test_extract_first_json_object_picks_first():
     text = 'noise {"a": 1} and later {"b": 2}'
     assert extract_first_json_object(text) == {"a": 1}
     assert extract_first_json_object("{broken") is None
+
+
+_PLAN_TEXT = json.dumps({"rooms": [{"room_id": 105, "room_name": "kitchen \\ \"A\" {1}", "nodes": [162, 163]}]})
+_JSON_TOKENS = (
+    "{", "{", "}", "}", "[", "]", '"', '"', "\\", '\\"', ":", ",", " ", "\n", "a", "1", "-2.5e3",
+    "true", "null", "```json\n", "\n```", '"k"', '{"a": 1}', "{}", '{"rooms": []}', "\u00e9",
+)
+
+
+def _fuzzed_reply(rng) -> str:
+    """Random mixes of braces, quotes, escapes and code fences, with whole,
+    truncated or repeated plan JSON between them."""
+    parts = []
+    for _ in range(int(rng.integers(0, 12))):
+        roll = rng.random()
+        if roll < 0.15:
+            parts.append(_PLAN_TEXT)
+        elif roll < 0.3:
+            cut = int(rng.integers(0, len(_PLAN_TEXT)))
+            parts.append(_PLAN_TEXT[:cut] if rng.random() < 0.5 else _PLAN_TEXT[cut:])
+        else:
+            parts.append(_JSON_TOKENS[int(rng.integers(len(_JSON_TOKENS)))])
+    return "".join(parts)
+
+
+def test_extract_first_json_object_matches_brace_scanner_oracle():
+    rng = np.random.default_rng(31)
+    found = 0
+    for trial in range(20000):
+        text = _fuzzed_reply(rng)
+        expected = bf_extract_first_json_object(text)
+        assert extract_first_json_object(text) == expected, (trial, text)
+        found += expected is not None
+    assert 2000 < found < 18000
 
 
 # ---------------------------------------------------------------------------

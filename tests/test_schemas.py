@@ -11,6 +11,7 @@ import pytest
 
 from osmag_nav.cli import main
 from osmag_nav.enrichment import EnrichmentError, parse_records
+from osmag_nav.episode import EpisodeError, read_records
 from osmag_nav.evalkit import EvalError, run_experiment
 from osmag_nav.fields import ConfigError
 from osmag_nav.gridworld import WorldModel
@@ -69,6 +70,10 @@ def test_demo_outputs_validate(tmp_path, capsys):
     schema = _schema("experiment.schema.json")
     schema["properties"]["profile"] = _schema("profile.schema.json")
     jsonschema.validate(experiment, schema)
+    lines = (out / "records.jsonl").read_text().splitlines()
+    assert lines
+    for line in lines:
+        jsonschema.validate(json.loads(line), _schema("episode_record.schema.json"))
 
 
 _DROP = object()
@@ -122,12 +127,25 @@ def _world_loader(tmp_path):
     return load
 
 
-@pytest.mark.parametrize("artifact", ["world.json", "records.json", "experiment.json"])
+def _records_loader(tmp_path):
+    def load(doc):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        read_records(str(path))
+
+    return load
+
+
+@pytest.mark.parametrize("artifact", ["world.json", "records.json", "experiment.json", "records.jsonl"])
 def test_schema_rejection_implies_loader_rejection(demo_dir, tmp_path, artifact):
     """Every mutation of a demo artifact that its schema rejects, its loader
-    rejects too, with the loader's typed error."""
-    doc = json.loads((demo_dir / artifact).read_text())
-    if artifact == "world.json":
+    rejects too, with the loader's typed error. For ``records.jsonl`` the
+    artifact is its first line, one episode record."""
+    text = (demo_dir / artifact).read_text()
+    doc = json.loads(text.splitlines()[0] if artifact == "records.jsonl" else text)
+    if artifact == "records.jsonl":
+        schema, load, errors = _schema("episode_record.schema.json"), _records_loader(tmp_path), EpisodeError
+    elif artifact == "world.json":
         schema, load, errors = _schema("world.schema.json"), _world_loader(tmp_path), ConfigError
     elif artifact == "records.json":
         schema, load, errors = _schema("records.schema.json"), parse_records, EnrichmentError
