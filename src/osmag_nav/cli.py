@@ -314,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (json.JSONDecodeError, ConfigError, EvalError, EpisodeError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

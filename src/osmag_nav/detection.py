@@ -19,6 +19,11 @@ import numpy as np
 from .gridworld import WorldModel, _ray_hits
 
 
+# confidence ranges of true and spurious proposals, drawn uniformly
+CONF_TP = (0.5, 1.0)
+CONF_FP = (0.1, 0.8)
+
+
 class DetectionConfigError(ValueError):
     pass
 
@@ -27,8 +32,6 @@ class DetectionConfigError(ValueError):
 class DetectionProfile:
     p_propose_tp: float = 1.0
     fp_rate: float = 0.0
-    conf_tp: tuple[float, float] = (0.5, 1.0)
-    conf_fp: tuple[float, float] = (0.1, 0.8)
     p_verify_tp: float = 1.0
     p_verify_fp: float = 0.0
     rotation_step_deg: int = 90
@@ -40,10 +43,6 @@ class DetectionProfile:
                 raise DetectionConfigError(f"{name}={value} outside [0, 1]")
         if self.fp_rate < 0.0:
             raise DetectionConfigError("fp_rate must be >= 0")
-        for name in ("conf_tp", "conf_fp"):
-            value = getattr(self, name)
-            if not (len(value) == 2 and all(map(math.isfinite, value)) and value[0] <= value[1]):
-                raise DetectionConfigError(f"{name}={value} must be two finite numbers, low <= high")
         if self.rotation_step_deg <= 0 or 360 % self.rotation_step_deg != 0:
             raise DetectionConfigError("rotation_step_deg must divide 360")
 
@@ -119,11 +118,11 @@ def propose(
         if idx not in visible:
             continue
         if rng.random() < profile.p_propose_tp:
-            conf = float(rng.uniform(*profile.conf_tp))
+            conf = float(rng.uniform(*CONF_TP))
             bearing = math.degrees(math.atan2(inst.position.y - y, inst.position.x - x))
             proposals.append(Proposal(conf, idx, bearing))
     for _ in range(int(rng.poisson(profile.fp_rate))):
-        conf = float(rng.uniform(*profile.conf_fp))
+        conf = float(rng.uniform(*CONF_FP))
         bearing = float(rng.uniform(-180.0, 180.0))
         proposals.append(Proposal(conf, None, bearing))
     proposals.sort(key=lambda p: -p.confidence)

@@ -8,7 +8,6 @@ frame; conversion to lat/lon happens here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -192,18 +191,17 @@ def parse_records(payload: dict) -> tuple[
 
 def ingest(
     m: SemanticMap,
-    records: dict | str,
+    records: dict,
     summarizer=None,
 ) -> tuple[SemanticMap, IngestReport]:
-    """Apply a full records payload (dict or JSON text) to one copy of ``m``.
+    """Apply a parsed records payload to one copy of ``m``.
 
     Instances, then viewpoints, then room descriptions, each in file order,
     are written in place to that copy; ``m`` itself is never written. Orphan
     records are skipped with a recorded reason; a schema violation aborts
     before any record is applied, and a summarizer failure propagates.
     """
-    payload = json.loads(records) if isinstance(records, str) else records
-    instances, viewpoints, descriptions = parse_records(payload)
+    instances, viewpoints, descriptions = parse_records(records)
     report = IngestReport()
 
     instances, report.merged_instances = _merge_instances(instances)

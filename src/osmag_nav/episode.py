@@ -18,13 +18,7 @@ import numpy as np
 from .detection import DetectionOutcome, DetectionProfile, detect_at_node
 from .fields import Fields
 from .geometry import MetricPoint, point_in_ring
-from .gridworld import (
-    DEFAULT_INFLATION_M,
-    DEFAULT_RESOLUTION_M,
-    WorldModel,
-    navigate,
-    render_grid,
-)
+from .gridworld import DEFAULT_RESOLUTION_M, WorldModel, navigate, render_grid
 from .llm import BackendError, TextBackend
 from .osmag import SemanticMap
 from .retrieval import PlanError, Query, RetrievalPlan, retrieve
@@ -48,7 +42,6 @@ class EpisodeConfig:
     seed: int = 0
     map_mode: str = "full"
     grid_resolution_m: float = DEFAULT_RESOLUTION_M
-    inflation_radius_m: float = DEFAULT_INFLATION_M
     category: str | None = None  # SO / RO / UO annotation, carried into the record
 
 
@@ -187,13 +180,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeRecord:
 
     for room_id, node_id in flattened:
         goal = cfg.map.node_metric(node_id)
-        nav = navigate(
-            current_grid,
-            cfg.world,
-            current,
-            goal,
-            inflation_radius_m=cfg.inflation_radius_m,
-        )
+        nav = navigate(current_grid, cfg.world, current, goal)
         record.driven_length_m += nav.driven_length
         current_grid = nav.grid_final  # sensed obstacles persist for the episode
         if nav.driven_path:

@@ -29,7 +29,7 @@ from .detection import DetectionProfile
 from .episode import EpisodeConfig, EpisodeRecord, run_episode
 from .geometry import MetricPoint
 from .fields import Fields
-from .gridworld import DEFAULT_INFLATION_M, DEFAULT_RESOLUTION_M, FREE, WorldModel, inflate, render_grid
+from .gridworld import DEFAULT_RESOLUTION_M, FREE, INFLATION_M, WorldModel, inflate, normalize_label, render_grid
 from .llm import make_backend
 from .osmag import SemanticMap, containing_area_metric, map_size_bytes, parse_osmag
 from .retrieval import MAP_MODES, Query
@@ -259,17 +259,13 @@ def report_to_csv(report: MetricsReport, dir_mode: str = "all_queries") -> str:
 # query generation
 
 
-def _norm_label(label: str) -> str:
-    return label.strip().lower()
-
-
 def _mapped_label_positions(m: SemanticMap) -> dict[str, list[MetricPoint]]:
     out: dict[str, list[MetricPoint]] = {}
     for node in sorted(m.nodes.values(), key=lambda n: n.id):
         if node.object_name:
-            out.setdefault(_norm_label(node.object_name), []).append(m.node_metric(node.id))
+            out.setdefault(normalize_label(node.object_name), []).append(m.node_metric(node.id))
         for item in node.observed_objects:
-            out.setdefault(_norm_label(item), []).append(m.node_metric(node.id))
+            out.setdefault(normalize_label(item), []).append(m.node_metric(node.id))
     return out
 
 
@@ -284,7 +280,7 @@ def _categorize(
     instances = [inst for _, inst in world.instances_of(label)]
     if not instances:
         return None
-    mapped = mapped_positions.get(_norm_label(label), [])
+    mapped = mapped_positions.get(normalize_label(label), [])
     if not mapped:
         return UO
     def nearest(inst):
@@ -313,7 +309,7 @@ def generate_queries(
         raise EvalError(f"unknown category '{category}'")
     out: list[Query] = []
     mapped_positions = _mapped_label_positions(m)
-    labels = sorted({inst.label for inst in world.instances}, key=_norm_label)
+    labels = sorted({inst.label for inst in world.instances}, key=normalize_label)
     for label in labels:
         if _categorize(world, mapped_positions, label) != category:
             continue
@@ -349,7 +345,6 @@ def sample_starts(
     count: int,
     master_seed: int,
     grid_resolution_m: float = DEFAULT_RESOLUTION_M,
-    inflation_radius_m: float = DEFAULT_INFLATION_M,
 ) -> list[MetricPoint]:
     """World start first (when present), then seeded draws from free space."""
     starts: list[MetricPoint] = []
@@ -357,7 +352,7 @@ def sample_starts(
         starts.append(world.start)
     if len(starts) >= count:
         return starts[:count]
-    grid = inflate(render_grid(m, grid_resolution_m), inflation_radius_m)
+    grid = inflate(render_grid(m, grid_resolution_m), INFLATION_M)
     free_cells = np.argwhere(grid.cells == FREE)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(0x5747,))
@@ -374,8 +369,8 @@ def sample_starts(
     return starts
 
 
-_CONFIG_KEYS = ("map", "world", "map_mode", "grid_resolution_m", "inflation_radius_m", "backend", "profile",
-                "queries", "generate", "starts", "master_seed")
+_CONFIG_KEYS = ("map", "world", "map_mode", "grid_resolution_m", "backend", "profile", "queries", "generate",
+                "starts", "master_seed")
 
 
 def _read_queries(f: Fields, config: dict) -> tuple[list[tuple[Query, str | None]], list[tuple[str, str]]]:
@@ -384,13 +379,14 @@ def _read_queries(f: Fields, config: dict) -> tuple[list[tuple[Query, str | None
     queries, suites = [], []
     for i, item in enumerate(f.array(config.get("queries", []), "queries")):
         p = f"queries[{i}]"
-        f.object(item, p, required=("object",))
+        f.object(item, p, required=("object",), allowed=("object", "room", "floor", "category"))
         room, floor = (f.typed(str | None, item.get(key), f"{p}.{key}") for key in ("room", "floor"))
         query = f.build(Query, p, object=f.typed(str, item["object"], p + ".object"), room=room, floor=floor)
         queries.append((query, f.choice(item.get("category"), p + ".category", (*CATEGORIES, None))))
     for i, item in enumerate(f.array(config.get("generate", []), "generate")):
         p = f"generate[{i}]"
-        category = f.choice(f.object(item, p).get("category", SO), p + ".category", CATEGORIES)
+        f.object(item, p, allowed=("category", "granularity"))
+        category = f.choice(item.get("category", SO), p + ".category", CATEGORIES)
         suites.append((category, f.choice(item.get("granularity", "o"), p + ".granularity", GRANULARITIES)))
     if not queries and not suites:
         raise EvalError("experiment config defines no queries")
@@ -429,7 +425,6 @@ def run_experiment(
     f.object(config, "", required=("map", "world"), allowed=_CONFIG_KEYS)
     master_seed = f.integer(config.get("master_seed", 0), "master_seed", minimum=0)
     resolution = f.number(config.get("grid_resolution_m", DEFAULT_RESOLUTION_M), "grid_resolution_m", above=0)
-    inflation = f.number(config.get("inflation_radius_m", DEFAULT_INFLATION_M), "inflation_radius_m", minimum=0)
     start_count = f.integer(config.get("starts", 1), "starts", minimum=1)
     profile = f.dataclass(DetectionProfile, config.get("profile", {}), "profile")
     map_mode = f.choice(config.get("map_mode", "full"), "map_mode", MAP_MODES)
@@ -438,7 +433,7 @@ def run_experiment(
     m, world = load_experiment_inputs(config, base_dir)
 
     queries += [(q, category) for category, gran in suites for q in generate_queries(world, m, gran, category)]
-    starts = sample_starts(m, world, start_count, master_seed, resolution, inflation)
+    starts = sample_starts(m, world, start_count, master_seed, resolution)
 
     episode_configs: list[EpisodeConfig] = []
     index = 0
@@ -454,7 +449,6 @@ def run_experiment(
                     seed=_episode_seed(master_seed, index),
                     map_mode=map_mode,
                     grid_resolution_m=resolution,
-                    inflation_radius_m=inflation,
                     start=start,
                     category=category,
                 )

@@ -48,6 +48,8 @@ class Fields:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             self.fail("", f"is not JSON: {exc}")
+        except RecursionError:
+            self.fail("", "is JSON nested too deeply to read")
 
     def object(self, value, path: str, required=(), allowed=None) -> dict:
         """``value`` as a JSON object with every key in ``required`` and,

@@ -38,7 +38,7 @@ _NEIGHBORS = (
 )
 
 DEFAULT_RESOLUTION_M = 0.1
-DEFAULT_INFLATION_M = 0.25
+INFLATION_M = 0.25  # robot footprint radius: every obstacle is dilated by this for planning
 GOAL_SNAP_RADIUS_M = 0.5
 TICK_BUDGET_FACTOR = 10
 RENDER_MARGIN_M = 1.0  # free border around the map's bounding box
@@ -180,6 +180,11 @@ class ObjectInstance:
             raise ValueError("instance label must be non-empty")
 
 
+def normalize_label(label: str) -> str:
+    """The form in which two object labels compare equal: trimmed, lower case."""
+    return label.strip().lower()
+
+
 _WORLD_KEYS = ("obstacles", "instances", "sensor", "start")
 
 
@@ -208,12 +213,9 @@ class WorldModel:
         )
 
     def instances_of(self, label: str) -> list[tuple[int, ObjectInstance]]:
-        wanted = label.strip().lower()
-        return [
-            (i, inst)
-            for i, inst in enumerate(self.instances)
-            if inst.label.strip().lower() == wanted
-        ]
+        """Instances whose label equals ``label`` under :func:`normalize_label`."""
+        wanted = normalize_label(label)
+        return [(i, inst) for i, inst in enumerate(self.instances) if normalize_label(inst.label) == wanted]
 
     @classmethod
     def from_file(cls, path: str) -> "WorldModel":
@@ -606,7 +608,6 @@ def navigate(
     world: WorldModel,
     start: MetricPoint,
     goal: MetricPoint,
-    inflation_radius_m: float = DEFAULT_INFLATION_M,
 ) -> NavOutcome:
     """Sense-replan-advance loop toward ``goal`` against the hidden world,
     sensing with ``world.sensor``.
@@ -625,8 +626,8 @@ def navigate(
     if not grid.in_bounds(start_cell) or grid.at(start_cell) == OCCUPIED:
         raise NoPathError(f"start {start} is not free in the map grid")
 
-    halo_cells = int(round(inflation_radius_m / grid.resolution)) + 1
-    planning = inflate(grid, inflation_radius_m)
+    halo_cells = int(round(INFLATION_M / grid.resolution)) + 1
+    planning = inflate(grid, INFLATION_M)
     goal_cell = _snap_goal(planning, grid.cell_of(goal.x, goal.y), GOAL_SNAP_RADIUS_M)
     driven_path: list[tuple[float, float, float]] = []
     if goal_cell is None:
@@ -659,14 +660,10 @@ def navigate(
             newly_set = set(newly)
             if any(cell in newly_set for cell in remaining):
                 replans += 1
-                planning = inflate(grid, inflation_radius_m)
-                if planning.at(goal_cell) == OCCUPIED:
-                    snapped = _snap_goal(planning, goal_cell, GOAL_SNAP_RADIUS_M)
-                    if snapped is None:
-                        return NavOutcome(
-                            False, driven_path, driven, replans, grid, "goal became occupied"
-                        )
-                    goal_cell = snapped
+                planning = inflate(grid, INFLATION_M)
+                goal_cell = _snap_goal(planning, goal_cell, GOAL_SNAP_RADIUS_M)
+                if goal_cell is None:
+                    return NavOutcome(False, driven_path, driven, replans, grid, "goal became occupied")
                 try:
                     path = _plan_from(planning, grid, pose, goal_cell, halo_cells)
                 except NoPathError as exc:

@@ -178,17 +178,21 @@ class LiveBackend(TextBackend):
         )
 
 
+_BACKEND_KEYS = ("kind", "fixtures_file", "endpoint", "model", "timeout_s", "retries", "max_in_flight")
+
+
 def make_backend(spec: dict, base_dir: str = ".") -> TextBackend:
     """Build a backend from its spec, ``{"kind": "live"|"scripted"|"heuristic", ...}``;
-    a relative ``fixtures_file`` resolves against ``base_dir``. A value the
-    experiment schema forbids raises :class:`BackendError` naming the field."""
+    a scripted backend replays its ``fixtures_file``, which resolves against
+    ``base_dir`` when relative. A value or key the experiment schema forbids
+    raises :class:`BackendError` naming the field."""
     f = Fields("backend", BackendError)
-    kind = f.choice(f.object(spec, "", required=("kind",))["kind"], "kind", BACKEND_KINDS)
+    f.object(spec, "", required=("kind",), allowed=_BACKEND_KEYS)
+    kind = f.choice(spec["kind"], "kind", BACKEND_KINDS)
     if kind == "scripted":
-        if "fixtures_file" in spec:
-            path = os.path.join(base_dir, f.typed(str, spec["fixtures_file"], "fixtures_file"))
-            return ScriptedBackend.from_file(path)
-        return ScriptedBackend(f.typed(dict[str, str], spec.get("fixtures", {}), "fixtures"))
+        f.object(spec, "", required=("fixtures_file",))
+        path = os.path.join(base_dir, f.typed(str, spec["fixtures_file"], "fixtures_file"))
+        return ScriptedBackend.from_file(path)
     if kind == "live":
         f.object(spec, "", required=("endpoint",))
         return LiveBackend(

@@ -157,12 +157,10 @@ class SemanticMap:
         used = set(self.nodes) | set(self.areas) | set(self.passages)
         return max(used, default=0) + 1
 
-    def resolve_area(self, ref: str | int | None) -> Area | None:
-        """Resolve an area reference by id string/int, falling back to a unique name."""
+    def resolve_area(self, ref: str | None) -> Area | None:
+        """Resolve an area reference by id string, falling back to a unique name."""
         if ref is None:
             return None
-        if isinstance(ref, int):
-            return self.areas.get(ref)
         text = ref.strip()
         if re.fullmatch(r"-?\d+", text):
             area = self.areas.get(int(text))

@@ -199,13 +199,17 @@ _DECODER = json.JSONDecoder()
 
 def extract_first_json_object(text: str) -> dict | None:
     """First loadable JSON object in ``text`` (fences/prose tolerated): the
-    one that starts at the earliest opening brace where one parses."""
+    one that starts at the earliest opening brace where one parses. None when
+    none parses, and at the first candidate nested past the recursion limit:
+    retrying from each brace inside it would take time quadratic in the reply."""
     start = text.find("{")
     while start != -1:
         try:
             return _DECODER.raw_decode(text, start)[0]
         except json.JSONDecodeError:
             start = text.find("{", start + 1)
+        except RecursionError:
+            return None
     return None
 
 

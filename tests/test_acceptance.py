@@ -7,12 +7,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
 import mapgen
 import oracles
+import osmag_nav
 from osmag_nav.cli import main as cli_main
 from osmag_nav.detection import DetectionProfile, Proposal, propose, verify
 from osmag_nav.enrichment import ingest
@@ -283,3 +287,18 @@ def test_c10_demo_determinism_across_runs_and_jobs(tmp_path, capsys):
         bytes_a = (out_a / name).read_bytes()
         assert bytes_a == (out_b / name).read_bytes(), f"{name} differs across runs"
         assert bytes_a == (out_c / name).read_bytes(), f"{name} differs across job counts"
+
+
+def test_c10_demo_bytes_independent_of_hash_seed(tmp_path):
+    """The configuration speed-ups cite for unchanged outputs, run in two fresh
+    interpreters: --jobs 1 with hash seed 0 against --jobs 2 with hash seed 5."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(osmag_nav.__file__)))
+    for name, jobs, hash_seed in (("a", "1", "0"), ("b", "2", "5")):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        subprocess.run(
+            [sys.executable, "-m", "osmag_nav.cli", "demo", "-o", str(tmp_path / name),
+             "--granularities", "o,or,orf", "--jobs", jobs],
+            env=env, check=True, stdout=subprocess.DEVNULL, timeout=300,
+        )
+    for name in ("records.jsonl", "report.json", "report.csv", "fixture_enriched.osm"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

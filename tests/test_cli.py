@@ -207,8 +207,8 @@ def test_simulate_then_eval(fixture_files, capsys):
         ("starts", "many"),
         ("master_seed", -1),
         ("map_mode", "dense"),
-        ("profile", {"conf_tp": [0.9, 0.2]}),
-        ("profile", {"conf_fp": [0.9, 0.2]}),
+        ("profile", {"conf_tp": [0.5, 1.0]}),  # a removed field is refused, not ignored
+        ("profile", {"conf_fp": [0.1, 0.8]}),
         ("queries", [{"room": "kitchen"}]),
         ("queries", "sink"),
         ("generate", "SO"),
@@ -225,6 +225,12 @@ def test_simulate_then_eval(fixture_files, capsys):
         ("queries", [{"object": "sink", "room": 5}]),
         ("queries", [{"object": ["a"]}]),
         ("queries", [{"object": " "}]),
+        ("generate", [{"categroy": "RO"}]),
+        ("queries", [{"object": "sink", "rooom": "lab"}]),
+        ("backend", {"kind": "scripted", "fixture_file": "fx.json"}),
+        ("backend", {"kind": "scripted"}),
+        ("backend", {"kind": "scripted", "fixtures": {}}),
+        ("inflation_radius_m", 0.25),
     ],
 )
 def test_simulate_bad_config_field_is_config_error(tmp_path, capsys, monkeypatch, field, value):
@@ -381,6 +387,72 @@ def test_input_file_that_is_not_json_is_named(fixture_files, capsys, command, co
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not_json.json" in err and "Traceback" not in err
+
+
+@pytest.fixture()
+def every_input(tmp_path):
+    """A valid file for every kind of input the CLI reads, in ``tmp_path``."""
+    from osmag_nav.episode import EpisodeRecord
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    config = {**demo_experiment_config(), "map": "map.osm", "world": "world.json"}
+    record = EpisodeRecord("sink", None, None, "o", None, "full", 0).to_json() + "\n"
+    for name, text in [
+        ("map.osm", serialize_osmag(enriched_five_room_map())),
+        ("records.json", json.dumps(five_room_records())),
+        ("world.json", json.dumps(five_room_world().to_dict())),
+        ("experiment.json", json.dumps(config)),
+        ("replies.json", "{}"),
+        ("episodes.jsonl", record),
+        ("baseline.jsonl", record),
+    ]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+# (arguments, the input file made bad, exit code when that file nests JSON too
+# deeply, or None when it is not JSON); an argument with a dot names a file in
+# the input directory
+_FILE_ARGUMENTS = [
+    (["validate", "map.osm"], "map.osm", None),
+    (["render", "map.osm", "-o", "out.pgm"], "map.osm", None),
+    (["enrich", "map.osm", "records.json", "-o", "out.osm"], "map.osm", None),
+    (["enrich", "map.osm", "records.json", "-o", "out.osm"], "records.json", 1),
+    (["query", "map.osm", "sink"], "map.osm", None),
+    (["query", "map.osm", "sink", "--backend", "scripted", "--fixtures", "replies.json"], "replies.json", 2),
+    (["simulate", "experiment.json", "-o", "out.jsonl"], "experiment.json", 2),
+    (["simulate", "experiment.json", "-o", "out.jsonl"], "map.osm", None),
+    (["simulate", "experiment.json", "-o", "out.jsonl"], "world.json", 2),
+    (["eval", "episodes.jsonl"], "episodes.jsonl", 2),
+    (["eval", "episodes.jsonl", "--map", "map.osm"], "map.osm", None),
+    (["eval", "episodes.jsonl", "--apl-intersect", "baseline.jsonl"], "baseline.jsonl", 2),
+]
+
+
+def _run_with_bad_file(every_input, capsys, args, bad, content: bytes) -> tuple[int, str]:
+    """Exit code and stderr of ``args`` with the input ``bad`` overwritten by
+    ``content``; stderr must be one ``error:`` line."""
+    (every_input / bad).write_bytes(content)
+    code = main([str(every_input / arg) if "." in arg else arg for arg in args])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    return code, err
+
+
+@pytest.mark.parametrize("args, bad", [(args, bad) for args, bad, _ in _FILE_ARGUMENTS],
+                         ids=[f"{args[0]}-{bad}" for args, bad, _ in _FILE_ARGUMENTS])
+def test_input_file_that_is_not_utf8_is_config_error(every_input, capsys, args, bad):
+    assert _run_with_bad_file(every_input, capsys, args, bad, b"\xff\xfe\x00garbage\n")[0] == 2
+
+
+_JSON_ARGUMENTS = [entry for entry in _FILE_ARGUMENTS if entry[2] is not None]
+
+
+@pytest.mark.parametrize("args, bad, code", _JSON_ARGUMENTS, ids=[f"{a[0]}-{bad}" for a, bad, _ in _JSON_ARGUMENTS])
+def test_input_json_nested_too_deeply_is_named(every_input, capsys, args, bad, code):
+    deep = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+    exit_code, err = _run_with_bad_file(every_input, capsys, args, bad, deep)
+    assert exit_code == code and bad in err
 
 
 @pytest.mark.parametrize("text", ["", "   "])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -260,7 +259,7 @@ def test_ingest_is_additive_and_valid(bare_map):
 def test_ingest_order_deterministic(bare_map):
     from osmag_nav.fixtures import five_room_records
 
-    payload = json.dumps(five_room_records())
+    payload = five_room_records()
     a, _ = ingest(bare_map, payload)
     b, _ = ingest(bare_map, payload)
     assert serialize_osmag(a) == serialize_osmag(b)

@@ -111,6 +111,18 @@ def test_retrieval_failure_records_failed_episode(enriched_map, demo_world, demo
     assert rec.plan_nodes == []
 
 
+class _DeepJsonBackend(TextBackend):
+    kind = "scripted"
+
+    def complete_text(self, req):
+        return '{"a":' * 100_000 + "1" + "}" * 100_000
+
+
+def test_reply_nested_too_deeply_records_failed_episode(enriched_map, demo_world, demo_profile):
+    rec = run_episode(_cfg(enriched_map, demo_world, _DeepJsonBackend(), demo_profile, Query("sink")))
+    assert rec.failure_reason.startswith("retrieval failed") and rec.visits == []
+
+
 def test_rooms_only_episode_keeps_rank1_room(enriched_map, demo_world, heuristic_backend, demo_profile):
     rec = run_episode(
         _cfg(enriched_map, demo_world, heuristic_backend, demo_profile, Query("sink"), map_mode="rooms_only")

@@ -14,6 +14,7 @@ from osmag_nav.retrieval import (
     TASK_HEADER,
     PlanEmptyError,
     PlanError,
+    PlanParseError,
     Query,
     build_prompt,
     extract_first_json_object,
@@ -254,6 +255,14 @@ def test_extract_first_json_object_picks_first():
     text = 'noise {"a": 1} and later {"b": 2}'
     assert extract_first_json_object(text) == {"a": 1}
     assert extract_first_json_object("{broken") is None
+
+
+def test_reply_nested_past_the_recursion_limit_is_parse_error(enriched_map):
+    # a plan after the deep object is not reached: the scan stops there
+    deep = '{"rooms":' * 100_000 + "[]" + "}" * 100_000 + ' {"rooms": [{"room_id": 105}]}'
+    assert extract_first_json_object(deep) is None
+    with pytest.raises(PlanParseError):
+        parse_plan(deep, enriched_map)
 
 
 _PLAN_TEXT = json.dumps({"rooms": [{"room_id": 105, "room_name": "kitchen \\ \"A\" {1}", "nodes": [162, 163]}]})

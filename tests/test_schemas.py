@@ -93,8 +93,16 @@ def _key_paths(doc, path=()):
 
 def _mutations(doc):
     """(path, mutated document) for every key path and replacement: the key
-    dropped, a value of another type, NaN, or a value out of range."""
+    dropped, a value of another type, NaN, or a value out of range; and, in
+    every object, one unknown key added."""
     for path in _key_paths(doc):
+        mutated = copy.deepcopy(doc)
+        target = mutated
+        for key in path:
+            target = target[key]
+        if isinstance(target, dict):
+            target["unknown_key"] = 1
+            yield path + ("unknown key",), mutated
         for value in _REPLACEMENTS:
             if not path:
                 if value is not _DROP:
