@@ -25,7 +25,7 @@ from .evalkit import (
     run_experiment,
 )
 from .episode import EpisodeError, read_records, write_records
-from .fields import ConfigError, Fields
+from .fields import ConfigError, Fields, read_text
 from .geometry import GeometryError
 from .gridworld import DEFAULT_RESOLUTION_M, render_grid
 from .llm import BACKEND_KINDS, BackendError, make_backend
@@ -42,11 +42,6 @@ from .retrieval import MAP_MODES, PlanError, Query, retrieve
 EXIT_OK = 0
 EXIT_FAILURE = 1  # validation / plan failure
 EXIT_CONFIG = 2  # I/O or config error
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -70,7 +65,7 @@ def _emit(payload: dict, as_json: bool, human_lines: list[str]) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    mapping = parse_osmag(_read_text(args.map))
+    mapping = parse_osmag(read_text(args.map))
     violations = validate(mapping)
     payload = {
         "violations": [
@@ -87,8 +82,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enrich(args: argparse.Namespace) -> int:
-    mapping = parse_osmag(_read_text(args.map))
-    records = Fields(args.records, EnrichmentError).parse(_read_text(args.records))
+    mapping = parse_osmag(read_text(args.map))
+    records = Fields(args.records, EnrichmentError).parse(read_text(args.records))
     enriched, report = ingest(mapping, records)
     _write_text(args.output, serialize_osmag(enriched))
     payload = {
@@ -114,7 +109,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if not args.res > 0:  # also rejects nan
         print(f"error: --res must be positive, got {args.res}", file=sys.stderr)
         return EXIT_CONFIG
-    mapping = parse_osmag(_read_text(args.map))
+    mapping = parse_osmag(read_text(args.map))
     grid = render_grid(mapping, args.res)
     _write_text(args.output, grid.to_pgm())
     sidecar_path = os.path.splitext(args.output)[0] + ".json"
@@ -129,7 +124,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    mapping = parse_osmag(_read_text(args.map))
+    mapping = parse_osmag(read_text(args.map))
     flags = {"kind": args.backend, "fixtures_file": args.fixtures, "endpoint": args.endpoint, "model": args.model}
     backend = make_backend({key: value for key, value in flags.items() if value})
     plan = retrieve(mapping, Query.from_text(args.text), backend, args.mode)
@@ -138,7 +133,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = Fields(args.config, EvalError).parse(_read_text(args.config))
+    config = Fields(args.config, EvalError).parse(read_text(args.config))
     if args.seed is not None and isinstance(config, dict):  # run_experiment refuses the rest
         config["master_seed"] = args.seed
     records, report = run_experiment(
@@ -154,7 +149,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     records = read_records(args.records)
     size = None
     if args.map:
-        size = map_size_bytes(parse_osmag(_read_text(args.map)))
+        size = map_size_bytes(parse_osmag(read_text(args.map)))
     report = compute_report(records, map_size=size)
     payload = report.to_dict()
     if args.apl_intersect:
@@ -313,9 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except UnicodeDecodeError as exc:
-        print(f"error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (json.JSONDecodeError, ConfigError, EvalError, EpisodeError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)

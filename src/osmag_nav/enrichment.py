@@ -20,6 +20,7 @@ from .osmag import (
     OBSERVED_KEY,
     OBSERVED_SEPARATOR,
     PARENT_KEY,
+    AreaTable,
     MapNode,
     OsmagError,
     SemanticMap,
@@ -86,10 +87,13 @@ class IngestReport:
         return sum(self.skipped.values())
 
 
-def _add_node(m: SemanticMap, where: MetricPoint, key: str, value: str, what: str) -> None:
-    """Insert one semantic node into ``m`` in place, parented to the area containing ``where``."""
+def _add_node(
+    m: SemanticMap, table: AreaTable, nid: int, where: MetricPoint, key: str, value: str, what: str
+) -> None:
+    """Insert semantic node ``nid`` into ``m`` in place, parented to the area
+    of ``table`` (an :class:`AreaTable` of ``m``) containing ``where``."""
     try:
-        area_id = containing_area_metric(m, where)
+        area_id = containing_area_metric(m, where, table)
     except GeometryError:
         if abs(m.projection_origin.lat) >= MAX_SUPPORTED_LAT:
             raise  # the map itself cannot be projected
@@ -97,7 +101,6 @@ def _add_node(m: SemanticMap, where: MetricPoint, key: str, value: str, what: st
     if area_id is None:
         at = ", ".join(f"{v:.2f}" if abs(v) < 1e9 else f"{v:.3g}" for v in (where.x, where.y))
         raise OrphanRecordError(f"{what} at ({at}) lies outside every area")
-    nid = m.next_free_node_id()
     m.nodes[nid] = MapNode(nid, m.metric_to_geo(where), {key: value, PARENT_KEY: str(area_id)})
 
 
@@ -129,20 +132,18 @@ def _describe_room(m: SemanticMap, rec: RoomDescriptionRecord, summarizer) -> No
 def _merge_instances(records: list[InstanceRecord]) -> tuple[list[InstanceRecord], int]:
     """Greedy same-label merge; merged record sits at the member mean."""
     merged: list[list[InstanceRecord]] = []
+    by_label: dict[str, list[list[InstanceRecord]]] = {}  # the groups of each label, oldest first
     for rec in records:
-        target = None
-        for group in merged:
-            if group[0].label != rec.label:
-                continue
+        groups = by_label.setdefault(rec.label, [])
+        for group in groups:
             cx = sum(g.centroid.x for g in group) / len(group)
             cy = sum(g.centroid.y for g in group) / len(group)
             if math.hypot(rec.centroid.x - cx, rec.centroid.y - cy) < DEFAULT_MERGE_RADIUS_M:
-                target = group
+                group.append(rec)
                 break
-        if target is None:
-            merged.append([rec])
         else:
-            target.append(rec)
+            merged.append([rec])
+            groups.append(merged[-1])
     out = []
     merges = 0
     for group in merged:
@@ -207,10 +208,23 @@ def ingest(
     instances, report.merged_instances = _merge_instances(instances)
 
     out = m.copy()
+    # Areas do not change below, so one table serves every record, and ids
+    # count up from the first free one. A new node can only complete an area
+    # ring that names a node the map lacks; the table is rebuilt then.
+    table = AreaTable(out)
+    next_id = out.next_free_node_id()
+    dangling = {nid for area in out.areas.values() for nid in area.ring} - out.nodes.keys()
+
+    def add_node(*args) -> None:
+        nonlocal table, next_id
+        _add_node(out, table, next_id, *args)
+        if next_id in dangling:
+            table = AreaTable(out)
+        next_id += 1
 
     def apply(section: str, step, *args) -> None:
         try:
-            step(out, *args)
+            step(*args)
         except EnrichmentError as exc:
             report.skipped[section] += 1
             report.reasons.append(str(exc))
@@ -218,12 +232,12 @@ def ingest(
             report.applied[section] += 1
 
     for rec in instances:
-        apply("instances", _add_node, rec.centroid, OBJECT_KEY, rec.label, f"instance '{rec.label}'")
+        apply("instances", add_node, rec.centroid, OBJECT_KEY, rec.label, f"instance '{rec.label}'")
     for rec in viewpoints:
         apply(
-            "viewpoints", _add_node, rec.capture_pose,
+            "viewpoints", add_node, rec.capture_pose,
             OBSERVED_KEY, OBSERVED_SEPARATOR.join(rec.observed), "viewpoint",
         )
     for rec in descriptions:
-        apply("room_descriptions", _describe_room, rec, summarizer)
+        apply("room_descriptions", _describe_room, out, rec, summarizer)
     return out, report

@@ -16,7 +16,7 @@ from typing import TypedDict
 import numpy as np
 
 from .detection import DetectionOutcome, DetectionProfile, detect_at_node
-from .fields import Fields
+from .fields import Fields, read_text
 from .geometry import MetricPoint, point_in_ring
 from .gridworld import DEFAULT_RESOLUTION_M, WorldModel, navigate, render_grid
 from .llm import BackendError, TextBackend
@@ -104,11 +104,10 @@ def read_records(path: str) -> list[EpisodeRecord]:
     :class:`EpisodeRecord`; a line that breaks them raises
     :class:`EpisodeError` naming the file, the line and the field."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                f = Fields(f"{path} line {lineno}: malformed episode record", EpisodeError)
-                out.append(f.dataclass(EpisodeRecord, f.parse(line)))
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if line.strip():
+            f = Fields(f"{path} line {lineno}: malformed episode record", EpisodeError)
+            out.append(f.dataclass(EpisodeRecord, f.parse(line)))
     return out
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .detection import DetectionProfile
 from .episode import EpisodeConfig, EpisodeRecord, run_episode
 from .geometry import MetricPoint
-from .fields import Fields
+from .fields import Fields, read_text
 from .gridworld import DEFAULT_RESOLUTION_M, FREE, INFLATION_M, WorldModel, inflate, normalize_label, render_grid
 from .llm import make_backend
 from .osmag import SemanticMap, containing_area_metric, map_size_bytes, parse_osmag
@@ -401,9 +401,7 @@ def load_experiment_inputs(config: dict, base_dir: str = ".") -> tuple[SemanticM
     for key, path in paths.items():
         if not os.path.isfile(path):
             f.fail(key, f"names no file: {path}")
-    with open(paths["map"], "r", encoding="utf-8") as fh:
-        m = parse_osmag(fh.read())
-    return m, WorldModel.from_file(paths["world"])
+    return parse_osmag(read_text(paths["map"])), WorldModel.from_file(paths["world"])
 
 
 def run_experiment(

@@ -20,6 +20,16 @@ class ConfigError(ValueError):
     """An input value that breaks its documented format; the CLI exits 2."""
 
 
+def read_text(path: str) -> str:
+    """The text of the input file at ``path``, read as UTF-8; a file that is
+    not UTF-8 text raises :class:`ConfigError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 

@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 import numpy as np
 from scipy import ndimage
 
-from .fields import Fields
+from .fields import Fields, read_text
 from .geometry import MetricPoint
 from .osmag import OsmagError, SemanticMap
 
@@ -222,8 +222,7 @@ class WorldModel:
         """The world file at ``path``; a value its schema forbids raises
         :class:`ConfigError` naming the file and the field."""
         f = Fields(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            data = f.object(f.parse(fh.read()), "", ("obstacles", "instances", "sensor"), _WORLD_KEYS)
+        data = f.object(f.parse(read_text(path)), "", ("obstacles", "instances", "sensor"), _WORLD_KEYS)
         obstacles, instances = [], []
         for i, item in enumerate(f.array(data["obstacles"], "obstacles")):
             p = f"obstacles[{i}]"

@@ -16,13 +16,19 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .fields import Fields
+from .fields import Fields, read_text
 
 API_KEY_ENV = "OSMAG_NAV_API_KEY"
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_RETRIES = 3
 DEFAULT_MAX_IN_FLIGHT = 4
-BACKEND_KINDS = ("heuristic", "scripted", "live")
+# the keys each backend kind reads: (required, optional)
+_BACKEND_KEYS = {
+    "heuristic": (("kind",), ()),
+    "scripted": (("kind", "fixtures_file"), ()),
+    "live": (("kind", "endpoint"), ("model", "timeout_s", "retries", "max_in_flight")),
+}
+BACKEND_KINDS = tuple(_BACKEND_KEYS)
 # every live request is greedy and capped: plans are short and must be repeatable
 TEMPERATURE = 0.0
 MAX_TOKENS = 1024
@@ -85,8 +91,7 @@ class ScriptedBackend(TextBackend):
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
         f = Fields(path, BackendError)
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(f.typed(dict[str, str], f.parse(fh.read()), ""))
+        return cls(f.typed(dict[str, str], f.parse(read_text(path)), ""))
 
     def record(self, req: CompletionRequest, reply: str) -> None:
         self.fixtures[req.fingerprint()] = reply
@@ -178,23 +183,21 @@ class LiveBackend(TextBackend):
         )
 
 
-_BACKEND_KEYS = ("kind", "fixtures_file", "endpoint", "model", "timeout_s", "retries", "max_in_flight")
-
-
 def make_backend(spec: dict, base_dir: str = ".") -> TextBackend:
     """Build a backend from its spec, ``{"kind": "live"|"scripted"|"heuristic", ...}``;
     a scripted backend replays its ``fixtures_file``, which resolves against
-    ``base_dir`` when relative. A value or key the experiment schema forbids
-    raises :class:`BackendError` naming the field."""
+    ``base_dir`` when relative. A value the experiment schema forbids, or a
+    key that the spec's kind does not read, raises :class:`BackendError`
+    naming the field."""
     f = Fields("backend", BackendError)
-    f.object(spec, "", required=("kind",), allowed=_BACKEND_KEYS)
-    kind = f.choice(spec["kind"], "kind", BACKEND_KINDS)
+    kind = f.choice(f.object(spec, "", required=("kind",))["kind"], "kind", BACKEND_KINDS)
+    required, optional = _BACKEND_KEYS[kind]
+    f = Fields(f"{kind} backend", BackendError)
+    f.object(spec, "", required, required + optional)
     if kind == "scripted":
-        f.object(spec, "", required=("fixtures_file",))
         path = os.path.join(base_dir, f.typed(str, spec["fixtures_file"], "fixtures_file"))
         return ScriptedBackend.from_file(path)
     if kind == "live":
-        f.object(spec, "", required=("endpoint",))
         return LiveBackend(
             endpoint=f.typed(str, spec["endpoint"], "endpoint"),
             model=f.typed(str, spec.get("model", "gpt-4o"), "model"),

@@ -10,6 +10,8 @@ nodes and areas encodes the containment hierarchy.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -378,6 +380,14 @@ def _fmt(value: float) -> str:
     return text if text not in ("", "-") else "0"
 
 
+# the characters quoteattr escapes; a string without them is quoted as it is
+_ESCAPED = re.compile(r'[&<>"\n\r\t]')
+
+
+def _quote(text: str) -> str:
+    return quoteattr(text) if _ESCAPED.search(text) else f'"{text}"'
+
+
 def serialize_osmag(m: SemanticMap) -> str:
     """Canonical serialization: elements ordered by id, tags lexicographically.
 
@@ -387,15 +397,15 @@ def serialize_osmag(m: SemanticMap) -> str:
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     lines.append(
         '<osm version="0.6" generator="osmag-nav"'
-        f" origin_lat={quoteattr(_fmt(m.projection_origin.lat))}"
-        f" origin_lon={quoteattr(_fmt(m.projection_origin.lon))}>"
+        f' origin_lat="{_fmt(m.projection_origin.lat)}"'
+        f' origin_lon="{_fmt(m.projection_origin.lon)}">'
     )
     for node in sorted(m.nodes.values(), key=lambda n: n.id):
-        attrs = f'id="{node.id}" lat={quoteattr(_fmt(node.position.lat))} lon={quoteattr(_fmt(node.position.lon))}'
+        attrs = f'id="{node.id}" lat="{_fmt(node.position.lat)}" lon="{_fmt(node.position.lon)}"'
         if node.tags:
             lines.append(f"  <node {attrs}>")
             for k in sorted(node.tags):
-                lines.append(f"    <tag k={quoteattr(k)} v={quoteattr(node.tags[k])}/>")
+                lines.append(f"    <tag k={_quote(k)} v={_quote(node.tags[k])}/>")
             lines.append("  </node>")
         else:
             lines.append(f"  <node {attrs}/>")
@@ -415,7 +425,7 @@ def serialize_osmag(m: SemanticMap) -> str:
         for ref in refs:
             lines.append(f'    <nd ref="{ref}"/>')
         for k in sorted(tags):
-            lines.append(f"    <tag k={quoteattr(k)} v={quoteattr(tags[k])}/>")
+            lines.append(f"    <tag k={_quote(k)} v={_quote(tags[k])}/>")
         lines.append("  </way>")
     lines.append("</osm>")
     return "\n".join(lines) + "\n"
@@ -534,26 +544,71 @@ def _parent_cycles(m: SemanticMap) -> list[Violation]:
 # containment
 
 
+# An area's box in the containment table is widened by this much, so that a
+# point within BOUNDARY_TOL_DEG of an edge, which counts as inside, always
+# passes the box filter.
+_BOX_MARGIN_DEG = 2 * BOUNDARY_TOL_DEG
+
+
+class AreaTable:
+    """The areas of one map, indexed for repeated containment lookups.
+
+    A row is ``(min lon, min lat, max lon, max lat, ring, area id)`` for each
+    area whose ring has 3 or more vertices, the box widened by
+    ``_BOX_MARGIN_DEG``. A uniform grid of about one cell per row covers the
+    boxes, and each cell lists the rows whose box meets it, deepest area
+    first (by parent-chain depth), then lower id. So the first row of a
+    point's cell whose box and ring hold the point names its containing area.
+    The table is a snapshot: it does not follow later changes to the map.
+    """
+
+    def __init__(self, m: SemanticMap):
+        keyed = []
+        for area in m.areas.values():
+            ring = m.area_ring_geo(area)
+            if len(ring) >= 3:
+                lons, lats = zip(*ring)
+                row = (min(lons) - _BOX_MARGIN_DEG, min(lats) - _BOX_MARGIN_DEG,
+                       max(lons) + _BOX_MARGIN_DEG, max(lats) + _BOX_MARGIN_DEG, ring, area.id)
+                keyed.append(((-m.area_depth(area), area.id), row))
+        keyed.sort(key=lambda item: item[0])
+        rows = [row for _, row in keyed]
+        side = math.isqrt(len(rows)) + 1  # cells per axis
+        self.lon0 = min((row[0] for row in rows), default=0.0)
+        self.lat0 = min((row[1] for row in rows), default=0.0)
+        self.lon_scale = side / (max((row[2] for row in rows), default=1.0) - self.lon0)
+        self.lat_scale = side / (max((row[3] for row in rows), default=1.0) - self.lat0)
+        self.cells: dict[tuple[int, int], list[tuple]] = {}
+        for row in rows:
+            (i0, j0), (i1, j1) = self._cell(row[0], row[1]), self._cell(row[2], row[3])
+            for cell in itertools.product(range(i0, i1 + 1), range(j0, j1 + 1)):
+                self.cells.setdefault(cell, []).append(row)
+
+    def _cell(self, lon: float, lat: float) -> tuple[int, int]:
+        # monotonic in each coordinate, so a box's cells hold every point of it
+        return int((lon - self.lon0) * self.lon_scale), int((lat - self.lat0) * self.lat_scale)
+
+    def containing(self, p: GeoPoint) -> int | None:
+        lon, lat = p.lon, p.lat
+        for x0, y0, x1, y1, ring, area_id in self.cells.get(self._cell(lon, lat), ()):
+            if x0 <= lon <= x1 and y0 <= lat <= y1 and point_in_ring(lon, lat, ring, BOUNDARY_TOL_DEG):
+                return area_id
+        return None
+
+
 def containing_area(m: SemanticMap, p: GeoPoint) -> int | None:
     """Deepest area (by parent-chain depth) whose polygon contains ``p``.
 
     Even-odd rule; the boundary counts as inside (tolerance
     ``BOUNDARY_TOL_DEG``). Ties on depth break toward the smaller area id.
     """
-    best: tuple[int, int] | None = None  # (-depth, id)
-    for area in m.areas.values():
-        ring = m.area_ring_geo(area)
-        if len(ring) < 3:
-            continue
-        if point_in_ring(p.lon, p.lat, ring, BOUNDARY_TOL_DEG):
-            key = (-m.area_depth(area), area.id)
-            if best is None or key < best:
-                best = key
-    return None if best is None else best[1]
+    return AreaTable(m).containing(p)
 
 
-def containing_area_metric(m: SemanticMap, p: MetricPoint) -> int | None:
-    return containing_area(m, unproject(p, m.projection_origin))
+def containing_area_metric(m: SemanticMap, p: MetricPoint, table: AreaTable | None = None) -> int | None:
+    """:func:`containing_area` of a metric point; ``table``, when given, is
+    an :class:`AreaTable` of ``m`` built by the caller for many lookups."""
+    return (AreaTable(m) if table is None else table).containing(unproject(p, m.projection_origin))
 
 
 def map_size_bytes(m: SemanticMap) -> int:

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gen  # noqa: E402
 
 from osmag_nav import fixtures as pkg_fixtures  # noqa: E402
 from osmag_nav.detection import DetectionProfile  # noqa: E402
@@ -37,3 +40,9 @@ def demo_profile():
     return DetectionProfile(
         p_propose_tp=1.0, p_verify_tp=1.0, fp_rate=0.1, p_verify_fp=0.0
     )
+
+
+@pytest.fixture(scope="session")
+def buildings():
+    """Seeded ``perfbench/gen`` buildings of 16 and 144 rooms, records in 4 batches."""
+    return {rooms: gen.generate(rooms, 1, 1, batches=4) for rooms in (16, 144)}

@@ -7,8 +7,8 @@ of the one-pass map simplification, map equality field by field instead of
 serialized bytes, great-circle distance instead of the local projection, and
 every ray against every wall with per-cell sets instead of the range-culled,
 array-built sense, a brace-counting scanner instead of the standard library's
-JSON decoder, and a segment-crossing test instead of the sensor's first-hit
-ray cast.
+JSON decoder, a segment-crossing test instead of the sensor's first-hit
+ray cast, and a test of every area's ring instead of the indexed area table.
 Keep these free of imports from the package's corresponding modules'
 internals.
 """
@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 
-from osmag_nav.geometry import EARTH_RADIUS_M
+from osmag_nav.geometry import BOUNDARY_TOL_DEG, EARTH_RADIUS_M, point_in_ring
 from osmag_nav.osmag import FROM_KEY, TO_KEY
 
 ROOT2 = math.sqrt(2.0)
@@ -417,3 +417,18 @@ def bf_extract_first_json_object(text: str) -> dict | None:
                     break
         # unbalanced or unloadable: retry from the next opening brace
     return None
+
+
+def bf_containing_area(m, p) -> int | None:
+    """Deepest area (by parent-chain depth) whose ring holds the GeoPoint
+    ``p``, ties to the smaller id, found by testing every area's ring."""
+    best: tuple[int, int] | None = None  # (-depth, id)
+    for area in m.areas.values():
+        ring = m.area_ring_geo(area)
+        if len(ring) < 3:
+            continue
+        if point_in_ring(p.lon, p.lat, ring, BOUNDARY_TOL_DEG):
+            key = (-m.area_depth(area), area.id)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[1]

@@ -442,7 +442,8 @@ def _run_with_bad_file(every_input, capsys, args, bad, content: bytes) -> tuple[
 @pytest.mark.parametrize("args, bad", [(args, bad) for args, bad, _ in _FILE_ARGUMENTS],
                          ids=[f"{args[0]}-{bad}" for args, bad, _ in _FILE_ARGUMENTS])
 def test_input_file_that_is_not_utf8_is_config_error(every_input, capsys, args, bad):
-    assert _run_with_bad_file(every_input, capsys, args, bad, b"\xff\xfe\x00garbage\n")[0] == 2
+    code, err = _run_with_bad_file(every_input, capsys, args, bad, b"\xff\xfe\x00garbage\n")
+    assert code == 2 and bad in err, err
 
 
 _JSON_ARGUMENTS = [entry for entry in _FILE_ARGUMENTS if entry[2] is not None]
@@ -453,6 +454,18 @@ def test_input_json_nested_too_deeply_is_named(every_input, capsys, args, bad, c
     deep = b"[" * 100_000 + b"]" * 100_000 + b"\n"
     exit_code, err = _run_with_bad_file(every_input, capsys, args, bad, deep)
     assert exit_code == code and bad in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--fixtures", "/nonexistent/replies.json"], "fixtures_file"),
+    (["--endpoint", "http://localhost:1"], "endpoint"),
+    (["--backend", "scripted", "--fixtures", "replies.json", "--model", "m"], "model"),
+])
+def test_query_flag_of_another_backend_is_config_error(every_input, capsys, flags, field):
+    args = ["query", str(every_input / "map.osm"), "sink"]
+    code = main(args + [str(every_input / f) if f.endswith(".json") and "/" not in f else f for f in flags])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and field in err, err
 
 
 @pytest.mark.parametrize("text", ["", "   "])

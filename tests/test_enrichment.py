@@ -5,15 +5,17 @@ import random
 import pytest
 
 import mapgen
+import oracles
+from osmag_nav import enrichment
 from osmag_nav.enrichment import (
     DEFAULT_MERGE_RADIUS_M,
     EnrichmentError,
     ViewpointRecord,
     ingest,
 )
-from osmag_nav.geometry import MetricPoint
+from osmag_nav.geometry import MetricPoint, unproject
 from osmag_nav.llm import BackendUnavailableError, CompletionRequest, ScriptedBackend, TextBackend
-from osmag_nav.osmag import SemanticMap, containing_area, serialize_osmag, validate
+from osmag_nav.osmag import PARENT_KEY, Area, SemanticMap, containing_area, serialize_osmag, validate
 
 
 def _ingest_one(m, section, record, summarizer=None):
@@ -263,3 +265,34 @@ def test_ingest_order_deterministic(bare_map):
     a, _ = ingest(bare_map, payload)
     b, _ = ingest(bare_map, payload)
     assert serialize_osmag(a) == serialize_osmag(b)
+
+
+def _oracle_containing_area_metric(m, p, table=None):
+    return oracles.bf_containing_area(m, unproject(p, m.projection_origin))
+
+
+def test_ingest_matches_oracle_containment(monkeypatch, buildings):
+    b = buildings[144]
+
+    def maps_after_each_batch():
+        m, out = b.bare, []
+        for batch in b.batches:
+            m, _ = ingest(m, batch)
+            out.append(serialize_osmag(m))
+        return out
+
+    indexed = maps_after_each_batch()
+    monkeypatch.setattr(enrichment, "containing_area_metric", _oracle_containing_area_metric)
+    assert maps_after_each_batch() == indexed
+
+
+def test_node_that_completes_an_area_ring_counts_for_later_records(monkeypatch):
+    # A ring may name a node the map lacks. The first node ingest adds takes
+    # that id and closes the ring, so the next record falls inside it.
+    m = mapgen.minimal_map()
+    m.areas[90] = Area(90, [1, 2, m.next_free_node_id()], {PARENT_KEY: "100"})
+    payload = {"instances": [{"label": "lamp", "x": 2.0, "y": 3.0}, {"label": "mug", "x": 2.0, "y": 1.0}]}
+    out, _ = ingest(m, payload)
+    assert [n.tags[PARENT_KEY] for n in out.semantic_nodes()] == ["100", "90"]
+    monkeypatch.setattr(enrichment, "containing_area_metric", _oracle_containing_area_metric)
+    assert serialize_osmag(ingest(m, payload)[0]) == serialize_osmag(out)

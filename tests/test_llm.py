@@ -56,6 +56,18 @@ def test_make_backend_kinds(tmp_path):
     assert scripted.fixtures == {"abc": "reply"}
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "heuristic", "fixtures_file": "replies.json"}, "fixtures_file"),
+    ({"kind": "heuristic", "model": "m"}, "model"),
+    ({"kind": "scripted", "fixtures_file": "replies.json", "endpoint": "http://localhost:1"}, "endpoint"),
+    ({"kind": "live", "endpoint": "http://localhost:1", "fixtures_file": "replies.json"}, "fixtures_file"),
+])
+def test_make_backend_refuses_key_of_another_kind(monkeypatch, spec, field):
+    monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
+    with pytest.raises(BackendError, match=f"{spec['kind']} backend: field '{field}' is not a known field"):
+        make_backend(spec)
+
+
 @pytest.mark.parametrize("replies", [[1, 2], {"abc": 5}, "reply"])
 def test_scripted_fixtures_map_keys_to_reply_strings(tmp_path, replies):
     fixture_file = tmp_path / "replies.json"
@@ -159,6 +171,7 @@ def live_server():
     server = _make_server(scenario)
     yield scenario, f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_live_backend_happy_path(live_server, monkeypatch):

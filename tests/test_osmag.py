@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import itertools
+import math
+import random
+from xml.sax.saxutils import quoteattr
+
 import numpy as np
 import pytest
 
 import mapgen
 import oracles
-from osmag_nav.geometry import GeoPoint, MetricPoint, unproject
+from osmag_nav import osmag
+from osmag_nav.geometry import BOUNDARY_TOL_DEG, GeoPoint, MetricPoint, unproject
 from osmag_nav.osmag import (
+    Area,
+    AreaTable,
     MapNode,
     MapParseError,
     SemanticMap,
@@ -217,6 +225,85 @@ def test_containing_area_prefers_deepest():
         expected = min(containing)[1] if containing else None
         assert got == expected
         assert got in (101, 102)  # never the floor: rooms are deeper
+
+
+def test_serialize_quotes_tags_as_quoteattr_does(monkeypatch):
+    # strings without a character quoteattr escapes skip it; the bytes stay the same
+    rng = random.Random(7)
+    texts = ["".join(rng.choice("ab ;é'&<>\"\n\r\t") for _ in range(rng.randint(0, 6))) for _ in range(400)]
+    assert [osmag._quote(t) for t in texts] == [quoteattr(t) for t in texts]
+    m = mapgen.nested_map()
+    targets = [*m.nodes.values(), *m.areas.values(), *m.passages.values()]
+    for i, text in enumerate(texts):
+        targets[i % len(targets)].tags[text + str(i)] = text
+    fast = serialize_osmag(m)
+    monkeypatch.setattr(osmag, "_quote", quoteattr)
+    assert fast == serialize_osmag(m)
+
+
+def _with_awkward_areas(m: SemanticMap) -> SemanticMap:
+    """``m`` plus root areas west of it that the tie-breaks decide: nested
+    areas of equal depth in both id orders, a deeper area inside them, a
+    two-vertex ring and a ring naming a node the map lacks."""
+    m = m.copy()
+    ids = itertools.count(m.next_free_node_id())
+
+    def area(x0, y0, x1, y1, tags=(), corners=4, missing=()):
+        ring = []
+        for x, y in [(x0, y0), (x1, y0), (x1, y1), (x0, y1)][:corners]:
+            nid = next(ids)
+            m.nodes[nid] = MapNode(nid, unproject(MetricPoint(x, y), m.projection_origin))
+            ring.append(nid)
+        aid = next(ids)
+        m.areas[aid] = Area(aid, ring + list(missing), dict(tags))
+        return aid
+
+    outer = area(-30.0, 0.0, -2.0, 10.0)
+    area(-25.0, 2.0, -15.0, 8.0)  # inside outer, same depth, higher id: outer wins
+    area(-12.0, 2.0, -4.0, 8.0)  # inside the next one, same depth, lower id: wins
+    area(-14.0, 1.0, -3.0, 9.0)
+    area(-10.0, 3.0, -6.0, 7.0, {"parent": str(outer)})  # deeper: wins inside it
+    area(-29.0, 1.0, -27.0, 9.0, corners=2)
+    area(-28.0, 12.0, -20.0, 20.0, corners=3, missing=[10**9])
+    return m
+
+
+def _probe_points(m: SemanticMap, rng: np.random.Generator, areas: list[Area]):
+    """Seeded probes: the vertices of ``areas``, a point on each edge and
+    0.5, 1 and 2 boundary tolerances to either side of them, and points
+    strewn over the whole map."""
+    for area in areas:
+        ring = m.area_ring_geo(area)
+        for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+            yield ax, ay
+            length = math.hypot(bx - ax, by - ay)
+            t = rng.uniform()
+            for d in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+                off = d * BOUNDARY_TOL_DEG / length if length else 0.0
+                yield ax + t * (bx - ax) + off * (by - ay), ay + t * (by - ay) - off * (bx - ax)
+    lons = [n.position.lon for n in m.nodes.values()]
+    lats = [n.position.lat for n in m.nodes.values()]
+    yield from zip(rng.uniform(min(lons), max(lons), 200), rng.uniform(min(lats), max(lats), 200))
+
+
+@pytest.mark.parametrize("rooms", [16, 144])
+def test_containing_area_matches_oracle(buildings, rooms):
+    bare = buildings[rooms].bare
+    m = _with_awkward_areas(bare)
+    rng = np.random.default_rng(rooms)
+    by_id = sorted(bare.areas.values(), key=lambda a: a.id)  # the floor first
+    sample = by_id[:1] + [by_id[i] for i in sorted(rng.choice(range(1, len(by_id)), 8, replace=False))]
+    sample += [a for a in m.areas.values() if a.id not in bare.areas]
+    table = AreaTable(m)
+    seen = set()
+    for i, (lon, lat) in enumerate(_probe_points(m, rng, sample)):
+        p = GeoPoint(lat, lon)
+        expected = oracles.bf_containing_area(m, p)
+        assert table.containing(p) == expected, (lon, lat)
+        if i % 50 == 0:
+            assert containing_area(m, p) == expected, (lon, lat)
+        seen.add(expected)
+    assert None in seen and len(seen) > 10
 
 
 def test_origin_defaults_to_min_corner():

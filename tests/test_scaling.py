@@ -1,33 +1,20 @@
 """Scaling contracts: per-operation work that must not grow with the building.
 
-Each test builds seeded ``perfbench/gen`` buildings of 16 and 144 rooms and
-counts calls through ``monkeypatch``. Counts are deterministic, so a contract
+Each test takes the seeded ``perfbench/gen`` buildings of 16 and 144 rooms
+(the ``buildings`` fixture) and counts calls through ``monkeypatch``. Counts are deterministic, so a contract
 that breaks fails every run, unlike a wall-clock bound.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from pathlib import Path
 
-import pytest
+from osmag_nav import gridworld, osmag
+from osmag_nav.enrichment import ingest
+from osmag_nav.osmag import SemanticMap
+from osmag_nav.retrieval import simplify_map
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-
-import gen  # noqa: E402
-from osmag_nav import gridworld  # noqa: E402
-from osmag_nav.enrichment import ingest  # noqa: E402
-from osmag_nav.osmag import SemanticMap  # noqa: E402
-from osmag_nav.retrieval import simplify_map  # noqa: E402
-
-SIZES = (16, 144)
-MAX_RATIO = 1.5  # largest allowed spread of a per-operation count across SIZES
-
-
-@pytest.fixture(scope="module")
-def buildings():
-    return {rooms: gen.generate(rooms, 1, 1, batches=4) for rooms in SIZES}
+MAX_RATIO = 1.5  # largest allowed spread of a per-operation count across the building sizes
 
 
 def test_segments_per_sense_call(monkeypatch, buildings):
@@ -90,3 +77,44 @@ def test_simplify_resolves_each_semantic_node_once(monkeypatch, buildings):
         calls.clear()
         simplify_map(m, "full")
         assert len(calls) == len(m.semantic_nodes()) > 0
+
+
+def _offered(batch: dict) -> int:
+    return len(batch.get("instances", [])) + len(batch.get("viewpoints", []))
+
+
+def test_point_in_ring_calls_per_ingested_record(monkeypatch, buildings):
+    # a record's area is found by testing the rings near it, not every ring
+    calls: list[int] = []
+    point_in_ring = osmag.point_in_ring
+
+    def counted(*args):
+        calls.append(1)
+        return point_in_ring(*args)
+
+    monkeypatch.setattr(osmag, "point_in_ring", counted)
+    per_record = {}
+    for rooms, b in buildings.items():
+        calls.clear()
+        m = b.bare
+        for batch in b.batches:
+            m, _ = ingest(m, batch)
+        per_record[rooms] = len(calls) / sum(_offered(batch) for batch in b.batches)
+    assert max(per_record.values()) <= MAX_RATIO * min(per_record.values()), per_record
+
+
+def test_one_free_id_scan_per_ingest_call(monkeypatch, buildings):
+    scans: list[int] = []
+    next_free_node_id = SemanticMap.next_free_node_id
+
+    def counted(self):
+        scans.append(1)
+        return next_free_node_id(self)
+
+    monkeypatch.setattr(SemanticMap, "next_free_node_id", counted)
+    for b in buildings.values():
+        m = b.bare
+        for batch in b.batches:
+            scans.clear()
+            m, report = ingest(m, batch)
+            assert report.total_applied > 1 and len(scans) <= 1

@@ -48,6 +48,32 @@ def test_demo_experiment_config_validates():
     jsonschema.validate(config, schema)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "heuristic"},
+    {"kind": "heuristic", "fixtures_file": "replies.json"},
+    {"kind": "heuristic", "endpoint": "http://localhost:1"},
+    {"kind": "scripted", "fixtures_file": "replies.json"},
+    {"kind": "scripted"},
+    {"kind": "scripted", "fixtures_file": "replies.json", "endpoint": "http://localhost:1"},
+    {"kind": "live", "endpoint": "http://localhost:1", "model": "m", "retries": 2},
+    {"kind": "live"},
+    {"kind": "live", "endpoint": "http://localhost:1", "fixtures_file": "replies.json"},
+])
+def test_backend_schema_and_loader_agree_on_each_kinds_keys(tmp_path, monkeypatch, spec):
+    from osmag_nav.llm import make_backend
+
+    monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
+    (tmp_path / "replies.json").write_text("{}", encoding="utf-8")
+    schema = _schema("experiment.schema.json")["properties"]["backend"]
+    try:
+        make_backend(spec, str(tmp_path))
+    except BackendError:
+        loaded = False
+    else:
+        loaded = True
+    assert jsonschema.Draft202012Validator(schema).is_valid(spec) == loaded
+
+
 def test_heuristic_reply_validates_against_plan_schema(enriched_map, heuristic_backend):
     from osmag_nav.llm import complete
     from osmag_nav.retrieval import Query, build_prompt
