@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import Fields, read_text
 from .geometry import MetricPoint
@@ -25,23 +24,16 @@ OCCUPIED = 1
 
 ROOT2 = math.sqrt(2.0)
 
-# 8-connected moves with unit/diagonal cell costs
-_NEIGHBORS = (
-    (1, 0, 1.0),
-    (-1, 0, 1.0),
-    (0, 1, 1.0),
-    (0, -1, 1.0),
-    (1, 1, ROOT2),
-    (1, -1, ROOT2),
-    (-1, 1, ROOT2),
-    (-1, -1, ROOT2),
-)
+# 8-connected moves: a straight one costs 1 cell, a diagonal one sqrt 2
+_STRAIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 DEFAULT_RESOLUTION_M = 0.1
 INFLATION_M = 0.25  # robot footprint radius: every obstacle is dilated by this for planning
 GOAL_SNAP_RADIUS_M = 0.5
 TICK_BUDGET_FACTOR = 10
 RENDER_MARGIN_M = 1.0  # free border around the map's bounding box
+MAX_GRID_CELLS = 10**8  # render_grid refuses a larger grid before allocating it
 # a passage endpoint within this of a wall line opens a gap in that wall
 PASSAGE_LATERAL_TOL_M = 0.05
 
@@ -275,84 +267,118 @@ class NavOutcome:
 # rendering
 
 
-def _bresenham(a: Cell, b: Cell) -> list[Cell]:
-    x0, y0 = a
-    x1, y1 = b
-    dx, dy = abs(x1 - x0), -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    out = []
-    while True:
-        out.append((x0, y0))
-        if x0 == x1 and y0 == y1:
-            return out
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
+def _line_cells(
+    x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-grid cells of the lines from cell (x0, y0) to cell (x1, y1), every
+    line at once.
+
+    Cell i of a line with n = max(|dx|, |dy|) lies at
+    x0 + sign(dx) * floor((2 i |dx| + n) / 2n), and likewise for y: one cell
+    per step along the major axis, the minor axis rounded half up. These are
+    the cells Bresenham's algorithm visits.
+    """
+    dx, dy = x1 - x0, y1 - y0
+    adx, ady = np.abs(dx), np.abs(dy)
+    n = np.maximum(adx, ady)
+    # along the major axis cell i lies i steps from the start: keep the steps
+    # that stay in the grid, so a line reaching far outside costs no more
+    # than one across it
+    x_major = adx >= ady
+    c0 = np.where(x_major, x0, y0)
+    step = np.where(x_major, np.sign(dx), np.sign(dy))
+    near, far = -c0 * step, (np.where(x_major, width, height) - 1 - c0) * step
+    lo = np.maximum(np.minimum(near, far), 0)
+    counts = np.maximum(np.minimum(np.maximum(near, far), n) - lo + 1, 0)
+    line = np.repeat(np.arange(counts.size), counts)
+    i = np.arange(line.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    n = n[line]
+    denom = np.maximum(2 * n, 1)  # a one-cell line (n = 0) has numerator 0
+    xs = x0[line] + np.sign(dx)[line] * ((2 * i * adx[line] + n) // denom)
+    ys = y0[line] + np.sign(dy)[line] * ((2 * i * ady[line] + n) // denom)
+    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+    return xs[inside], ys[inside]
+
+
+def _mark_lines(
+    grid: OccupancyGrid, a: list[tuple[float, float]], b: list[tuple[float, float]], value: int
+) -> None:
+    """Set the in-grid cells of every line from metric point a[k] to b[k] to ``value``."""
+    if not a:
+        return
+    origin = np.array([grid.origin.x, grid.origin.y])
+    ca, cb = (np.floor((np.array(points) - origin) / grid.resolution).astype(np.int64) for points in (a, b))
+    xs, ys = _line_cells(ca[:, 0], ca[:, 1], cb[:, 0], cb[:, 1], grid.width, grid.height)
+    grid.cells[ys, xs] = value
+
+
+def _cells_across(extent_m: float, resolution: float) -> int | float:
+    """Cells a grid needs to span ``extent_m``; inf when too many to count."""
+    cells = extent_m / resolution
+    return int(math.ceil(cells)) + 1 if math.isfinite(cells) else math.inf
 
 
 def render_grid(m: SemanticMap, resolution: float = DEFAULT_RESOLUTION_M) -> OccupancyGrid:
     """Rasterize the map: polygon boundaries as 1-cell walls, passages as gaps.
 
     Semantic nodes never touch the grid; enriched and bare versions of the
-    same map render identically.
+    same map render identically. A grid of more than ``MAX_GRID_CELLS``
+    cells raises :class:`OsmagError` before anything is allocated.
     """
-    if resolution <= 0:
+    if not resolution > 0:  # also rejects nan
         raise ValueError("resolution must be positive")
-    points: list[tuple[float, float]] = []
-    for area in m.areas.values():
-        points.extend(m.area_ring_metric(area))
-    if not points:
+    rings = [m.area_ring_metric(area) for area in m.areas.values()]
+    points = np.array([p for ring in rings for p in ring]).reshape(-1, 2)
+    if not len(points):
         raise OsmagError("map has no area geometry to render")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    origin = MetricPoint(min(xs) - RENDER_MARGIN_M, min(ys) - RENDER_MARGIN_M)
-    width = int(math.ceil((max(xs) - min(xs) + 2 * RENDER_MARGIN_M) / resolution)) + 1
-    height = int(math.ceil((max(ys) - min(ys) + 2 * RENDER_MARGIN_M) / resolution)) + 1
+    (x_min, y_min), (x_max, y_max) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    origin = MetricPoint(x_min - RENDER_MARGIN_M, y_min - RENDER_MARGIN_M)
+    width = _cells_across(x_max - x_min + 2 * RENDER_MARGIN_M, resolution)
+    height = _cells_across(y_max - y_min + 2 * RENDER_MARGIN_M, resolution)
+    if width * height > MAX_GRID_CELLS:
+        raise OsmagError(
+            f"a grid of {width} x {height} cells at resolution {resolution} m exceeds "
+            f"the limit of {MAX_GRID_CELLS} cells"
+        )
     grid = OccupancyGrid(resolution, origin, np.full((height, width), FREE, dtype=np.uint8))
 
-    for area in m.areas.values():
-        ring = m.area_ring_metric(area)
-        n = len(ring)
-        if n < 3:
-            continue
-        for i in range(n):
-            a = grid.cell_of(*ring[i])
-            b = grid.cell_of(*ring[(i + 1) % n])
-            for cell in _bresenham(a, b):
-                if grid.in_bounds(cell):
-                    grid.cells[cell[1], cell[0]] = OCCUPIED
+    # every wall first, then every passage gap through them
+    starts: list[tuple[float, float]] = []
+    ends: list[tuple[float, float]] = []
+    for ring in rings:
+        if len(ring) >= 3:
+            starts += ring
+            ends += ring[1:] + ring[:1]
+    _mark_lines(grid, starts, ends, OCCUPIED)
+    starts, ends = [], []
     for passage in m.passages.values():
-        coords = []
-        for nid in passage.segment:
-            node = m.nodes.get(nid)
-            if node is not None:
-                p = m.node_metric(nid)
-                coords.append((p.x, p.y))
-        for a_xy, b_xy in zip(coords, coords[1:]):
-            a = grid.cell_of(*a_xy)
-            b = grid.cell_of(*b_xy)
-            for cell in _bresenham(a, b):
-                if grid.in_bounds(cell):
-                    grid.cells[cell[1], cell[0]] = FREE
+        coords = [(p.x, p.y) for p in (m.node_metric(nid) for nid in passage.segment if nid in m.nodes)]
+        starts += coords[:-1]
+        ends += coords[1:]
+    _mark_lines(grid, starts, ends, FREE)
     return grid
 
 
+def _shifted(d: int, n: int) -> slice:
+    """The indices i + d that stay in range(n), for i in range(n) and |d| < n."""
+    return slice(max(d, 0), n + min(d, 0))
+
+
 def inflate(grid: OccupancyGrid, radius_m: float) -> OccupancyGrid:
-    """Dilate occupied cells by a disk; stands in for costmap inflation."""
+    """Dilate occupied cells by a disk; stands in for costmap inflation.
+    Cells beyond the grid's edge count as free."""
     radius_cells = int(round(radius_m / grid.resolution))
     if radius_cells <= 0:
         return grid.copy()
-    span = np.arange(-radius_cells, radius_cells + 1)
-    dx, dy = np.meshgrid(span, span)
-    disk = (dx * dx + dy * dy) <= radius_cells * radius_cells
     occupied = grid.cells == OCCUPIED
-    dilated = ndimage.binary_dilation(occupied, structure=disk)
+    dilated = occupied.copy()
+    h, w = occupied.shape
+    for dy in range(-radius_cells, radius_cells + 1):
+        for dx in range(-radius_cells, radius_cells + 1):
+            if dx * dx + dy * dy > radius_cells * radius_cells or abs(dx) >= w or abs(dy) >= h:
+                continue
+            # cell (x, y) occupied makes cell (x + dx, y + dy) occupied
+            dilated[_shifted(dy, h), _shifted(dx, w)] |= occupied[_shifted(-dy, h), _shifted(-dx, w)]
     cells = grid.cells.copy()
     cells[dilated] = OCCUPIED
     return OccupancyGrid(grid.resolution, grid.origin, cells)
@@ -381,56 +407,76 @@ def plan_path(grid: OccupancyGrid, start: Cell, goal: Cell) -> Path:
     """8-connected A* with octile heuristic and deterministic tie-breaking
     (lower heuristic first, then lower row-major cell index). Diagonal moves
     may not cut corners past two orthogonally adjacent occupied cells."""
-    w, h = grid.width, grid.height
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.in_bounds(cell):
             raise NoPathError(f"{name} cell {cell} outside grid")
         if grid.at(cell) == OCCUPIED:
             raise NoPathError(f"{name} cell {cell} is occupied")
 
-    blocked = grid.cells == OCCUPIED
-    gx, gy = goal
+    # Cells are indexed row-major in the grid framed by one occupied cell on
+    # every side: no move leaves the frame, and the index orders cells as the
+    # grid's own row-major index does.
+    w = grid.width + 2
+    framed = np.ones((grid.height + 2, w), dtype=bool)
+    framed[1:-1, 1:-1] = grid.cells == OCCUPIED
+    blocked = framed.tobytes()
+    straight = [dx + dy * w for dx, dy in _STRAIGHT]
+    # a diagonal move's index offset and those of the two cells it passes
+    diagonal = [(dx + dy * w, dx, dy * w) for dx, dy in _DIAGONAL]
+    gx, gy = goal[0] + 1, goal[1] + 1
+    octile_k = ROOT2 - 2.0  # octile: (dx + dy) + (sqrt 2 - 2) min(dx, dy)
 
-    def octile(x: int, y: int) -> float:
-        dx, dy = abs(x - gx), abs(y - gy)
-        return (dx + dy) + (ROOT2 - 2.0) * min(dx, dy)
-
-    start_idx = start[1] * w + start[0]
-    goal_idx = goal[1] * w + goal[0]
-    g = np.full(w * h, np.inf, dtype=float)
-    came = np.full(w * h, -1, dtype=np.int64)
-    closed = np.zeros(w * h, dtype=bool)
+    start_idx = (start[1] + 1) * w + start[0] + 1
+    goal_idx = gy * w + gx
+    size = len(blocked)
+    # Per-cell state in typed buffers. g (cost so far) and came (the cell
+    # each was reached from) are read only where seen is set, so they start
+    # uninitialised and a short search touches few of their pages.
+    g = memoryview(np.empty(size))
+    came = memoryview(np.empty(size, dtype=np.int64))
+    seen = bytearray(size)
+    closed = bytearray(size)
     g[start_idx] = 0.0
-    h0 = octile(*start)
+    came[start_idx] = -1
+    seen[start_idx] = 1
+    dx, dy = abs(start[0] + 1 - gx), abs(start[1] + 1 - gy)
+    h0 = (dx + dy) + octile_k * min(dx, dy)
     heap: list[tuple[float, float, int]] = [(h0, h0, start_idx)]
 
     while heap:
-        _, _, idx = heappop(heap)
+        idx = heappop(heap)[2]
         if closed[idx]:
             continue
-        closed[idx] = True
+        closed[idx] = 1
         if idx == goal_idx:
             cells = []
-            cursor = idx
-            while cursor != -1:
-                cells.append((cursor % w, cursor // w))
-                cursor = int(came[cursor])
+            while idx != -1:
+                cells.append((idx % w - 1, idx // w - 1))
+                idx = came[idx]
             cells.reverse()
             return Path(cells=cells, resolution=grid.resolution)
-        x, y = idx % w, idx // w
-        base = float(g[idx])
-        for dx, dy, cost in _NEIGHBORS:
-            nx, ny = x + dx, y + dy
-            if not (0 <= nx < w and 0 <= ny < h) or blocked[ny, nx]:
-                continue
-            if dx != 0 and dy != 0 and (blocked[y, nx] or blocked[ny, x]):
-                continue
-            nidx = ny * w + nx
-            ng = base + cost
-            if ng < g[nidx] - 1e-12:
+        base = g[idx]
+        ng = base + 1.0
+        for step in straight:
+            nidx = idx + step
+            if not blocked[nidx] and (not seen[nidx] or ng < g[nidx] - 1e-12):
+                seen[nidx] = 1
                 g[nidx] = ng
                 came[nidx] = idx
-                nh = octile(nx, ny)
+                dx, dy = abs(nidx % w - gx), abs(nidx // w - gy)
+                nh = (dx + dy) + octile_k * min(dx, dy)
+                heappush(heap, (ng + nh, nh, nidx))
+        ng = base + ROOT2
+        for step, side_x, side_y in diagonal:
+            nidx = idx + step
+            if not (blocked[nidx] or blocked[idx + side_x] or blocked[idx + side_y]) and (
+                not seen[nidx] or ng < g[nidx] - 1e-12
+            ):
+                seen[nidx] = 1
+                g[nidx] = ng
+                came[nidx] = idx
+                dx, dy = abs(nidx % w - gx), abs(nidx // w - gy)
+                nh = (dx + dy) + octile_k * min(dx, dy)
                 heappush(heap, (ng + nh, nh, nidx))
     raise NoPathError(f"no path from {start} to {goal}")
 

@@ -47,6 +47,9 @@ OBSERVED_SEPARATOR = ";"
 # degree-space tolerance for a passage endpoint on an area's boundary
 PASSAGE_TOL_DEG = 1e-7
 
+# an area reference that names an id
+_AREA_ID = re.compile(r"-?\d+")
+
 
 class OsmagError(Exception):
     """Base error for map parsing/handling."""
@@ -164,7 +167,7 @@ class SemanticMap:
         if ref is None:
             return None
         text = ref.strip()
-        if re.fullmatch(r"-?\d+", text):
+        if _AREA_ID.fullmatch(text):
             area = self.areas.get(int(text))
             if area is not None:
                 return area

@@ -309,10 +309,13 @@ def retrieve(
 # heuristic backend: the in-repo, model-free retrieval oracle
 
 
+_TOKEN = re.compile(r"[a-z0-9]+")
+
+
 def normalize_tokens(text: str) -> frozenset[str]:
     """Lowercased alphanumeric tokens with a crude plural fold."""
     out = set()
-    for word in re.findall(r"[a-z0-9]+", text.lower()):
+    for word in _TOKEN.findall(text.lower()):
         if len(word) > 3 and word.endswith("s"):
             word = word[:-1]
         out.add(word)

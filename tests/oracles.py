@@ -8,7 +8,11 @@ serialized bytes, great-circle distance instead of the local projection, and
 every ray against every wall with per-cell sets instead of the range-culled,
 array-built sense, a brace-counting scanner instead of the standard library's
 JSON decoder, a segment-crossing test instead of the sensor's first-hit
-ray cast, and a test of every area's ring instead of the indexed area table.
+ray cast, a test of every area's ring instead of the indexed area table,
+Bresenham's stepping loop cell by cell instead of the closed-form wall raster,
+a disk stamped around each occupied cell instead of shifted-slice dilation,
+and A* over a 2-D numpy grid with per-move bounds tests instead of the
+framed flat grid.
 Keep these free of imports from the package's corresponding modules'
 internals.
 """
@@ -22,7 +26,8 @@ import re
 
 import numpy as np
 
-from osmag_nav.geometry import BOUNDARY_TOL_DEG, EARTH_RADIUS_M, point_in_ring
+from osmag_nav.geometry import BOUNDARY_TOL_DEG, EARTH_RADIUS_M, MetricPoint, point_in_ring
+from osmag_nav.gridworld import FREE, OCCUPIED, RENDER_MARGIN_M, NoPathError, OccupancyGrid
 from osmag_nav.osmag import FROM_KEY, TO_KEY
 
 ROOT2 = math.sqrt(2.0)
@@ -432,3 +437,139 @@ def bf_containing_area(m, p) -> int | None:
             if best is None or key < best:
                 best = key
     return None if best is None else best[1]
+
+
+def bresenham(a, b):
+    """The cells of the line from cell ``a`` to cell ``b``, stepped one at a time."""
+    x0, y0 = a
+    x1, y1 = b
+    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    out = []
+    while True:
+        out.append((x0, y0))
+        if x0 == x1 and y0 == y1:
+            return out
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x0 += sx
+        if e2 <= dx:
+            err += dx
+            y0 += sy
+
+
+def bf_render_grid(m, resolution: float):
+    """``render_grid`` as a per-cell loop: each ring projected twice, every
+    wall and gap cell drawn by :func:`bresenham` and bounds-tested alone."""
+    points = []
+    for area in m.areas.values():
+        points.extend(m.area_ring_metric(area))
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    origin = MetricPoint(min(xs) - RENDER_MARGIN_M, min(ys) - RENDER_MARGIN_M)
+    width = int(math.ceil((max(xs) - min(xs) + 2 * RENDER_MARGIN_M) / resolution)) + 1
+    height = int(math.ceil((max(ys) - min(ys) + 2 * RENDER_MARGIN_M) / resolution)) + 1
+    grid = OccupancyGrid(resolution, origin, np.full((height, width), FREE, dtype=np.uint8))
+
+    for area in m.areas.values():
+        ring = m.area_ring_metric(area)
+        n = len(ring)
+        if n < 3:
+            continue
+        for i in range(n):
+            a = grid.cell_of(*ring[i])
+            b = grid.cell_of(*ring[(i + 1) % n])
+            for cell in bresenham(a, b):
+                if grid.in_bounds(cell):
+                    grid.cells[cell[1], cell[0]] = OCCUPIED
+    for passage in m.passages.values():
+        coords = []
+        for nid in passage.segment:
+            if m.nodes.get(nid) is not None:
+                p = m.node_metric(nid)
+                coords.append((p.x, p.y))
+        for a_xy, b_xy in zip(coords, coords[1:]):
+            a = grid.cell_of(*a_xy)
+            b = grid.cell_of(*b_xy)
+            for cell in bresenham(a, b):
+                if grid.in_bounds(cell):
+                    grid.cells[cell[1], cell[0]] = FREE
+    return grid
+
+
+def bf_dilate(cells: np.ndarray, radius_cells: int) -> np.ndarray:
+    """``cells`` with a disk of ``radius_cells`` stamped, clipped to the grid,
+    around every occupied cell."""
+    out = cells.copy()
+    height, width = cells.shape
+    r = radius_cells
+    span = np.arange(-r, r + 1)
+    disk = (span[None, :] ** 2 + span[:, None] ** 2) <= r * r
+    for y, x in np.argwhere(cells == OCCUPIED):
+        y0, y1 = max(y - r, 0), min(y + r + 1, height)
+        x0, x1 = max(x - r, 0), min(x + r + 1, width)
+        stamp = disk[y0 - (y - r) : y1 - (y - r), x0 - (x - r) : x1 - (x - r)]
+        out[y0:y1, x0:x1][stamp] = OCCUPIED
+    return out
+
+
+def bf_plan_path(grid, start, goal):
+    """``plan_path``'s A* over the 2-D grid, bounds-testing every move;
+    returns the path's cell list."""
+    w, h = grid.width, grid.height
+    for name, cell in (("start", start), ("goal", goal)):
+        if not grid.in_bounds(cell):
+            raise NoPathError(f"{name} cell {cell} outside grid")
+        if grid.at(cell) == OCCUPIED:
+            raise NoPathError(f"{name} cell {cell} is occupied")
+
+    blocked = grid.cells == OCCUPIED
+    gx, gy = goal
+
+    def octile(x: int, y: int) -> float:
+        dx, dy = abs(x - gx), abs(y - gy)
+        return (dx + dy) + (ROOT2 - 2.0) * min(dx, dy)
+
+    neighbors = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+                 (1, 1, ROOT2), (1, -1, ROOT2), (-1, 1, ROOT2), (-1, -1, ROOT2)]
+    start_idx = start[1] * w + start[0]
+    goal_idx = goal[1] * w + goal[0]
+    g = np.full(w * h, np.inf, dtype=float)
+    came = np.full(w * h, -1, dtype=np.int64)
+    closed = np.zeros(w * h, dtype=bool)
+    g[start_idx] = 0.0
+    h0 = octile(*start)
+    heap = [(h0, h0, start_idx)]
+
+    while heap:
+        _, _, idx = heapq.heappop(heap)
+        if closed[idx]:
+            continue
+        closed[idx] = True
+        if idx == goal_idx:
+            cells = []
+            cursor = idx
+            while cursor != -1:
+                cells.append((cursor % w, cursor // w))
+                cursor = int(came[cursor])
+            cells.reverse()
+            return cells
+        x, y = idx % w, idx // w
+        base = float(g[idx])
+        for dx, dy, cost in neighbors:
+            nx, ny = x + dx, y + dy
+            if not (0 <= nx < w and 0 <= ny < h) or blocked[ny, nx]:
+                continue
+            if dx != 0 and dy != 0 and (blocked[y, nx] or blocked[ny, x]):
+                continue
+            nidx = ny * w + nx
+            ng = base + cost
+            if ng < g[nidx] - 1e-12:
+                g[nidx] = ng
+                came[nidx] = idx
+                nh = octile(nx, ny)
+                heapq.heappush(heap, (ng + nh, nh, nidx))
+    raise NoPathError(f"no path from {start} to {goal}")

@@ -151,6 +151,33 @@ def test_render_map_without_areas_is_failure(tmp_path, capsys):
     assert not (tmp_path / "grid.pgm").exists()
 
 
+def test_render_oversized_grid_is_failure(fixture_files, capsys):
+    tmp_path, map_path, _ = fixture_files
+    out = tmp_path / "grid.pgm"
+    assert main(["render", str(map_path), "--res", "1e-7", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid of ") and err.count("\n") == 1
+    assert "resolution 1e-07 m" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_oversized_grid_is_failure(tmp_path, capsys):
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    (tmp_path / "world.json").write_text(json.dumps(five_room_world().to_dict()), encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json", "grid_resolution_m": 1e-7})
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    records_out = tmp_path / "records.jsonl"
+    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid of ") and err.count("\n") == 1
+    assert "resolution 1e-07 m" in err and "Traceback" not in err
+    assert not records_out.exists()
+
+
 def test_simulate_then_eval(fixture_files, capsys):
     tmp_path, map_path, records_path = fixture_files
     enriched_path = tmp_path / "enriched.osm"

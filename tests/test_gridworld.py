@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import mapgen
-from oracles import bf_sense, dijkstra_cost, ray_rect_hit
+import osmag_nav
+from oracles import bf_dilate, bf_plan_path, bf_render_grid, bf_sense, bresenham, dijkstra_cost, ray_rect_hit
+from osmag_nav import gridworld
+from osmag_nav.fixtures import five_room_map
 from osmag_nav.geometry import MetricPoint
 from osmag_nav.gridworld import (
     FREE,
@@ -26,6 +33,7 @@ from osmag_nav.gridworld import (
     sense,
     walls_with_passage_gaps,
 )
+from osmag_nav.osmag import Area, OsmagError, Passage
 
 
 def _empty_grid(width: int, height: int, resolution: float = 1.0) -> OccupancyGrid:
@@ -54,8 +62,9 @@ def test_render_single_room_ring():
 
 
 def test_render_resolution_must_be_positive():
-    with pytest.raises(ValueError):
-        render_grid(mapgen.minimal_map(), 0.0)
+    for resolution in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            render_grid(mapgen.minimal_map(), resolution)
 
 
 def test_render_passage_opens_shared_wall():
@@ -80,6 +89,139 @@ def test_render_ignores_semantic_nodes(bare_map, enriched_map):
     enriched = render_grid(enriched_map, 0.1)
     assert np.array_equal(bare.cells, enriched.cells)
     assert bare.origin == enriched.origin
+
+
+def test_line_cells_match_bresenham():
+    span = np.arange(-40, 41)
+    dx, dy = (a.ravel() for a in np.meshgrid(span, span))
+    x0 = np.full(dx.size, 40)
+    y0 = np.full(dy.size, 40)
+    xs, ys = gridworld._line_cells(x0, y0, x0 + dx, y0 + dy, 81, 81)
+    expected = [cell for a, b in zip(dx.tolist(), dy.tolist()) for cell in bresenham((40, 40), (40 + a, 40 + b))]
+    assert list(zip(xs.tolist(), ys.tolist())) == expected
+
+
+def test_line_cells_clip_to_the_grid():
+    """Lines that start, end or lie wholly outside a 23 x 17 grid keep
+    exactly their in-grid cells, in order."""
+    rng = np.random.default_rng(5)
+    ends = rng.integers(-60, 90, size=(4, 400))
+    ends[:, :40] = rng.integers(-3, 26, size=(4, 40))  # some from the border rows and columns
+    xs, ys = gridworld._line_cells(*ends, 23, 17)
+    expected = [
+        (x, y)
+        for x0, y0, x1, y1 in ends.T.tolist()
+        for x, y in bresenham((x0, y0), (x1, y1))
+        if 0 <= x < 23 and 0 <= y < 17
+    ]
+    assert list(zip(xs.tolist(), ys.tolist())) == expected
+
+
+def _awkward_map():
+    """Passages that leave the grid (one end, both ends, hundreds of metres
+    out along either axis, through a missing node) and rings of fewer than
+    three vertices."""
+    b = mapgen._Builder()
+    b.rect_area(100, 0.0, 0.0, 5.0, 5.0, {})
+    b.rect_area(101, 5.0, 0.0, 10.0, 5.0, {})
+    b.door(150, 100, 101, (5.0, 2.0), (5.0, 3.0))
+    b.door(151, 100, 101, (2.0, 2.5), (-3.7, 9.1))
+    b.door(152, 100, 101, (7.5, 1.0), (900.0, 35.0))
+    b.door(153, 100, 101, (-50.0, 4.0), (60.0, 1.5))
+    b.door(154, 100, 101, (3.05, -500.0), (3.35, 800.0))
+    b.passages[155] = Passage(155, [b.node(9.0, 4.0), 99999, b.node(9.0, -2.0), b.node(-1.5, -2.0)], (100, 101), {})
+    b.areas[102] = Area(102, [b.node(1.0, 1.0), b.node(4.0, 4.0)], {})
+    b.areas[103] = Area(103, [b.node(-20.0, 7.0)], {})
+    b.areas[104] = Area(104, [b.node(6.0, 1.0), 99998, b.node(9.0, 1.0)], {})
+    return b.build()
+
+
+_ORACLE_MAPS = {
+    "fixture": five_room_map,
+    "minimal": mapgen.minimal_map,
+    "two-room": mapgen.two_room_map,
+    "nested": mapgen.nested_map,
+    "corridor": mapgen.corridor_map,
+    "synthetic-3": lambda: mapgen.synthetic_map(3),
+    "synthetic-8": lambda: mapgen.synthetic_map(8),
+    "awkward": _awkward_map,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MAPS))
+@pytest.mark.parametrize("resolution", [0.1, 0.07, 0.5])
+def test_render_matches_oracle(name, resolution):
+    m = _ORACLE_MAPS[name]()
+    grid, oracle = render_grid(m, resolution), bf_render_grid(m, resolution)
+    assert grid.sidecar() == oracle.sidecar()
+    assert np.array_equal(grid.cells, oracle.cells)
+
+
+@pytest.mark.parametrize("rooms", [16, 144])
+def test_render_gen_building_matches_oracle(buildings, rooms):
+    m = buildings[rooms].bare
+    grid, oracle = render_grid(m), bf_render_grid(m, 0.1)
+    assert grid.sidecar() == oracle.sidecar()
+    assert np.array_equal(grid.cells, oracle.cells)
+
+
+def test_render_refuses_oversized_grid_before_allocating(monkeypatch):
+    m = mapgen.two_room_map()
+    with pytest.raises(OsmagError) as exc:
+        render_grid(m, 1e-7)
+    assert re.fullmatch(r"a grid of \d+ x \d+ cells at resolution 1e-07 m exceeds the limit of 100000000 cells",
+                        str(exc.value))
+    fits = render_grid(m, 0.1)
+    width, height = fits.width, fits.height
+    monkeypatch.setattr(gridworld, "MAX_GRID_CELLS", width * height)
+    assert render_grid(m, 0.1).cells.size == width * height  # at the limit
+    monkeypatch.setattr(gridworld, "MAX_GRID_CELLS", width * height - 1)
+    with pytest.raises(OsmagError, match=f"{width} x {height} cells at resolution 0.1 m"):
+        render_grid(m, 0.1)
+
+
+def test_render_refuses_resolution_too_fine_to_count():
+    with pytest.raises(OsmagError, match="inf x inf cells"):
+        render_grid(mapgen.two_room_map(), 5e-324)
+
+
+_RADII_M = [0.0, 0.1, 0.25, 0.33, 0.6]
+
+
+@pytest.mark.parametrize("rooms", [16, 144])
+@pytest.mark.parametrize("radius_m", _RADII_M)
+def test_inflate_gen_building_matches_oracle(buildings, rooms, radius_m):
+    grid = render_grid(buildings[rooms].bare)
+    assert np.array_equal(inflate(grid, radius_m).cells, bf_dilate(grid.cells, int(round(radius_m / 0.1))))
+
+
+@pytest.mark.parametrize("radius_m", _RADII_M)
+def test_inflate_random_grids_match_oracle(radius_m):
+    """Grids as small as one cell, larger disks than grids, and occupied
+    cells on every border: cells beyond the edge count as free."""
+    rng = np.random.default_rng(int(radius_m * 100))
+    for _ in range(40):
+        height, width = (int(v) for v in rng.integers(1, 16, size=2))
+        cells = (rng.random((height, width)) < rng.uniform(0.0, 0.2)).astype(np.uint8)
+        edge = int(rng.integers(4))
+        if edge == 0:
+            cells[0, :] = OCCUPIED
+        elif edge == 1:
+            cells[:, -1] = OCCUPIED
+        else:
+            cells[int(rng.integers(height)), 0 if edge == 2 else width - 1] = OCCUPIED
+        grid = OccupancyGrid(0.1, MetricPoint(0.0, 0.0), cells)
+        assert np.array_equal(inflate(grid, radius_m).cells, bf_dilate(cells, int(round(radius_m / 0.1))))
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(osmag_nav.__file__)))
+    code = "import sys, osmag_nav.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        check=True, capture_output=True, text=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +308,61 @@ def test_octile_heuristic_admissible():
         dx, dy = abs(int(sx) - int(gx)), abs(int(sy) - int(gy))
         octile = (dx + dy) + (ROOT2 - 2.0) * min(dx, dy)
         assert octile <= oracle + 1e-9
+
+
+def _assert_same_plan(grid, start, goal):
+    try:
+        expected = bf_plan_path(grid, start, goal)
+    except NoPathError as exc:
+        with pytest.raises(NoPathError) as got:
+            plan_path(grid, start, goal)
+        assert str(got.value) == str(exc)
+        return
+    assert plan_path(grid, start, goal).cells == expected
+
+
+@pytest.mark.parametrize("rooms, pairs, reach", [(16, 16, None), (144, 8, 120)])
+def test_plan_matches_oracle_on_gen_buildings(buildings, rooms, pairs, reach):
+    """Seeded start and goal cells, the goal within ``reach`` cells of the
+    start on each axis when given (several rooms apart at 144 rooms)."""
+    grid = inflate(render_grid(buildings[rooms].bare), 0.25)
+    free = np.argwhere(grid.cells == FREE)
+    rng = np.random.default_rng(rooms)
+    for _ in range(pairs):
+        sy, sx = free[rng.integers(len(free))]
+        goals = free if reach is None else free[np.abs(free - (sy, sx)).max(axis=1) <= reach]
+        gy, gx = goals[rng.integers(len(goals))]
+        _assert_same_plan(grid, (int(sx), int(sy)), (int(gx), int(gy)))
+
+
+def test_plan_matches_oracle_on_hand_made_grids():
+    corner = _empty_grid(4, 4)
+    corner.cells[1, 2] = corner.cells[2, 1] = OCCUPIED  # a diagonal gap to squeeze through
+    for start, goal in [((1, 1), (2, 2)), ((0, 0), (3, 3)), ((3, 0), (0, 3))]:
+        _assert_same_plan(corner, start, goal)
+    border = _empty_grid(9, 6)
+    border.cells[1:, 4] = OCCUPIED  # the only way round runs along the top row
+    border.cells[0, 2] = OCCUPIED
+    for start, goal in [((0, 0), (8, 5)), ((8, 0), (0, 5)), ((0, 5), (8, 0)), ((3, 0), (5, 0))]:
+        _assert_same_plan(border, start, goal)
+    ties = _empty_grid(7, 7)  # many equal-cost paths: the tie-break decides
+    _assert_same_plan(ties, (0, 0), (6, 3))
+    _assert_same_plan(ties, (6, 6), (0, 2))
+    for line in (_empty_grid(1, 6), _empty_grid(6, 1)):
+        _assert_same_plan(line, (0, 0), (line.width - 1, line.height - 1))
+    sealed = _empty_grid(7, 7)
+    sealed.cells[2:5, 2] = sealed.cells[2:5, 4] = OCCUPIED
+    sealed.cells[2, 2:5] = sealed.cells[4, 2:5] = OCCUPIED
+    for start, goal in [
+        ((0, 0), (0, 0)),  # start equals goal
+        ((0, 0), (3, 3)),  # unreachable
+        ((3, 3), (6, 6)),  # walled in
+        ((2, 2), (6, 6)),  # blocked start
+        ((0, 0), (4, 3)),  # blocked goal
+        ((-1, 0), (6, 6)),  # start off the grid
+        ((0, 0), (7, 6)),  # goal off the grid
+    ]:
+        _assert_same_plan(sealed, start, goal)
 
 
 def test_path_length_meters():
