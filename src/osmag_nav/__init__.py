@@ -4,11 +4,8 @@ deterministic object-goal-navigation simulator with an evaluation suite."""
 from .detection import (
     DetectionOutcome,
     DetectionProfile,
-    Proposal,
     detect_at_node,
     propose,
-    verify,
-    visible_instances,
 )
 from .enrichment import (
     IngestReport,
@@ -20,10 +17,8 @@ from .enrichment import (
 from .episode import EpisodeConfig, EpisodeRecord, read_records, run_episode, write_records
 from .evalkit import (
     MetricsReport,
-    amd,
     apl,
     compute_report,
-    dir_rate,
     generate_queries,
     o_rsr,
     r_rsr,
@@ -40,7 +35,7 @@ from .gridworld import (
     render_grid,
     sense,
 )
-from .llm import CompletionRequest, LiveBackend, ScriptedBackend, TextBackend, complete, make_backend
+from .llm import CompletionRequest, LiveBackend, ScriptedBackend, TextBackend, make_backend
 from .osmag import (
     Area,
     MapNode,
@@ -83,7 +78,6 @@ __all__ = [
     "OccupancyGrid",
     "Passage",
     "Path",
-    "Proposal",
     "Query",
     "RetrievalPlan",
     "RoomDescriptionRecord",
@@ -94,14 +88,11 @@ __all__ = [
     "ViewpointRecord",
     "Violation",
     "WorldModel",
-    "amd",
     "apl",
     "build_prompt",
-    "complete",
     "compute_report",
     "containing_area",
     "detect_at_node",
-    "dir_rate",
     "generate_queries",
     "ingest",
     "make_backend",
@@ -124,7 +115,5 @@ __all__ = [
     "simplify_map",
     "unproject",
     "validate",
-    "verify",
-    "visible_instances",
     "write_records",
 ]

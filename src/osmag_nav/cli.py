@@ -161,16 +161,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.csv:
         _write_text(args.csv, report_to_csv(report, args.dir_mode))
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"episodes: {report.episodes}")
-        print(f"r_rsr: {report.r_rsr:.4f}")
-        if report.amd_m is not None:
-            print(f"amd_m: {report.amd_m:.4f}")
-        if report.apl_m is not None:
-            print(f"apl_m: {report.apl_m:.4f}")
-        print(f"dir[{args.dir_mode}]: {report.dir[args.dir_mode]:.4f}")
+    lines = [f"episodes: {report.episodes}", f"r_rsr: {report.r_rsr:.4f}"]
+    if report.amd_m is not None:
+        lines.append(f"amd_m: {report.amd_m:.4f}")
+    if report.apl_m is not None:
+        lines.append(f"apl_m: {report.apl_m:.4f}")
+    lines.append(f"dir[{args.dir_mode}]: {report.dir[args.dir_mode]:.4f}")
+    _emit(payload, args.json, lines)
     return EXIT_OK
 
 
@@ -306,10 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (json.JSONDecodeError, ConfigError, EvalError, EpisodeError, BackendError) as exc:
+    except (
+        FileNotFoundError, IsADirectoryError, PermissionError,  # not OSError: requests errors subclass it
+        json.JSONDecodeError, ConfigError, EvalError, EpisodeError, BackendError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MapParseError, OsmagError, EnrichmentError, PlanError, GeometryError) as exc:

@@ -46,10 +46,6 @@ class DetectionProfile:
         if self.rotation_step_deg <= 0 or 360 % self.rotation_step_deg != 0:
             raise DetectionConfigError("rotation_step_deg must divide 360")
 
-    @property
-    def views_per_node(self) -> int:
-        return 360 // self.rotation_step_deg
-
 
 @dataclass(frozen=True)
 class Proposal:

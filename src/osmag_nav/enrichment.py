@@ -2,8 +2,9 @@
 
 Instance centroids become object-nodes, camera poses with their observed
 object lists become viewpoint-nodes, and per-room image descriptions are
-summarized into a room-description tag. Records arrive in the metric map
-frame; conversion to lat/lon happens here.
+joined into a room-description tag of at most ``DESCRIPTION_LIMIT``
+characters. Records arrive in the metric map frame; conversion to lat/lon
+happens here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import llm
 from .fields import Fields
 from .geometry import MAX_SUPPORTED_LAT, GeometryError, MetricPoint
 from .osmag import (
@@ -31,8 +31,8 @@ from .osmag import (
 # the offline instance extractor can double-count across frames.
 DEFAULT_MERGE_RADIUS_M = 0.5
 
-# Fallback summarization keeps at most this many characters.
-NULL_SUMMARY_LIMIT = 500
+# A room-description tag keeps at most this many characters.
+DESCRIPTION_LIMIT = 500
 
 
 class EnrichmentError(OsmagError):
@@ -104,29 +104,12 @@ def _add_node(
     m.nodes[nid] = MapNode(nid, m.metric_to_geo(where), {key: value, PARENT_KEY: str(area_id)})
 
 
-def null_summarize(text: str) -> str:
-    return text[:NULL_SUMMARY_LIMIT]
-
-
-def _describe_room(m: SemanticMap, rec: RoomDescriptionRecord, summarizer) -> None:
-    """Set the room-description tag of ``m`` in place from summarized per-image descriptions.
-
-    ``summarizer`` is a TextBackend (see the llm module); ``None`` selects the
-    null summarizer (first 500 characters of the concatenation). A summarizer
-    failure propagates before anything is written.
-    """
+def _describe_room(m: SemanticMap, rec: RoomDescriptionRecord) -> None:
+    """Set the room-description tag of ``m`` in place: the per-image
+    descriptions joined by spaces, cut to ``DESCRIPTION_LIMIT`` characters."""
     if rec.area_id not in m.areas:
         raise EnrichmentError(f"room description references missing area {rec.area_id}")
-    joined = " ".join(rec.descriptions)
-    if summarizer is None:
-        summary = null_summarize(joined)
-    else:
-        req = llm.CompletionRequest(
-            system_text="Summarize room descriptions into one compact paragraph.",
-            user_text=joined,
-        )
-        summary = llm.complete(summarizer, req)
-    m.areas[rec.area_id].tags[DESCRIPTION_KEY] = summary
+    m.areas[rec.area_id].tags[DESCRIPTION_KEY] = " ".join(rec.descriptions)[:DESCRIPTION_LIMIT]
 
 
 def _merge_instances(records: list[InstanceRecord]) -> tuple[list[InstanceRecord], int]:
@@ -190,17 +173,13 @@ def parse_records(payload: dict) -> tuple[
     return instances, viewpoints, descriptions
 
 
-def ingest(
-    m: SemanticMap,
-    records: dict,
-    summarizer=None,
-) -> tuple[SemanticMap, IngestReport]:
+def ingest(m: SemanticMap, records: dict) -> tuple[SemanticMap, IngestReport]:
     """Apply a parsed records payload to one copy of ``m``.
 
     Instances, then viewpoints, then room descriptions, each in file order,
     are written in place to that copy; ``m`` itself is never written. Orphan
     records are skipped with a recorded reason; a schema violation aborts
-    before any record is applied, and a summarizer failure propagates.
+    before any record is applied.
     """
     instances, viewpoints, descriptions = parse_records(records)
     report = IngestReport()
@@ -239,5 +218,5 @@ def ingest(
             OBSERVED_KEY, OBSERVED_SEPARATOR.join(rec.observed), "viewpoint",
         )
     for rec in descriptions:
-        apply("room_descriptions", _describe_room, out, rec, summarizer)
+        apply("room_descriptions", _describe_room, out, rec)
     return out, report

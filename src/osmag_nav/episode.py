@@ -18,7 +18,7 @@ import numpy as np
 from .detection import DetectionOutcome, DetectionProfile, detect_at_node
 from .fields import Fields, read_text
 from .geometry import MetricPoint, point_in_ring
-from .gridworld import DEFAULT_RESOLUTION_M, WorldModel, navigate, render_grid
+from .gridworld import DEFAULT_RESOLUTION_M, NoPathError, WorldModel, navigate, render_grid
 from .llm import BackendError, TextBackend
 from .osmag import SemanticMap
 from .retrieval import PlanError, Query, RetrievalPlan, retrieve
@@ -143,7 +143,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeRecord:
 
     Unreachable nodes are skipped with a recorded reason and contribute no
     detection outcome. A retrieval failure (after its one corrective retry)
-    yields a failed record with zero visited nodes.
+    yields a failed record with zero visited nodes. A start that is not a
+    free cell of the map grid raises :class:`EpisodeError`.
     """
     rng = np.random.default_rng(cfg.seed)
     record = _base_record(cfg)
@@ -179,7 +180,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeRecord:
 
     for room_id, node_id in flattened:
         goal = cfg.map.node_metric(node_id)
-        nav = navigate(current_grid, cfg.world, current, goal)
+        try:
+            nav = navigate(current_grid, cfg.world, current, goal)
+        except NoPathError as exc:  # raised for the start pose alone
+            raise EpisodeError(str(exc)) from None
         record.driven_length_m += nav.driven_length
         current_grid = nav.grid_final  # sensed obstacles persist for the episode
         if nav.driven_path:

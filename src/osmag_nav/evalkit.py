@@ -269,14 +269,11 @@ def _mapped_label_positions(m: SemanticMap) -> dict[str, list[MetricPoint]]:
     return out
 
 
-def categorize_label(world: WorldModel, m: SemanticMap, label: str) -> str | None:
-    """SO / RO / UO classification of a world label against the map, or None."""
-    return _categorize(world, _mapped_label_positions(m), label)
-
-
 def _categorize(
     world: WorldModel, mapped_positions: dict[str, list[MetricPoint]], label: str
 ) -> str | None:
+    """SO / RO / UO classification of a world label against the mapped
+    positions of :func:`_mapped_label_positions`, or None."""
     instances = [inst for _, inst in world.instances_of(label)]
     if not instances:
         return None

@@ -665,11 +665,16 @@ def navigate(
     The robot never steps into an occupied cell: a planned path avoids every
     raw-grid ``OCCUPIED`` cell, and afterwards a cell turns occupied only
     through sensing, whose new cells are checked against the remaining path.
+    A start off the grid or on an occupied cell raises :class:`NoPathError`.
     """
     grid = map_grid.copy()
-    start_cell = grid.cell_of(start.x, start.y)
-    if not grid.in_bounds(start_cell) or grid.at(start_cell) == OCCUPIED:
-        raise NoPathError(f"start {start} is not free in the map grid")
+    # compared with the grid's extent before flooring: far outside it,
+    # :meth:`OccupancyGrid.cell_of` overflows
+    u = (start.x - grid.origin.x) / grid.resolution
+    v = (start.y - grid.origin.y) / grid.resolution
+    start_cell = (int(u), int(v)) if 0 <= u < grid.width and 0 <= v < grid.height else None
+    if start_cell is None or grid.at(start_cell) == OCCUPIED:
+        raise NoPathError(f"start ({start.x:g}, {start.y:g}) is not a free cell of the map grid")
 
     halo_cells = int(round(INFLATION_M / grid.resolution)) + 1
     planning = inflate(grid, INFLATION_M)

@@ -80,7 +80,7 @@ class ScriptedBackend(TextBackend):
     """Replays canned replies; fails loudly on an unknown prompt key.
 
     The fixture maps ``CompletionRequest.fingerprint()`` hex digests to reply
-    text. :meth:`record` builds fixtures from (request, reply) pairs.
+    text.
     """
 
     kind = "scripted"
@@ -92,9 +92,6 @@ class ScriptedBackend(TextBackend):
     def from_file(cls, path: str) -> "ScriptedBackend":
         f = Fields(path, BackendError)
         return cls(f.typed(dict[str, str], f.parse(read_text(path)), ""))
-
-    def record(self, req: CompletionRequest, reply: str) -> None:
-        self.fixtures[req.fingerprint()] = reply
 
     def complete_text(self, req: CompletionRequest) -> str:
         key = req.fingerprint()

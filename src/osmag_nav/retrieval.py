@@ -328,11 +328,6 @@ def _jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
     return len(ta & tb) / len(ta | tb)
 
 
-def token_set_similarity(a: str, b: str) -> float:
-    """Jaccard similarity of normalized token sets."""
-    return _jaccard(normalize_tokens(a), normalize_tokens(b))
-
-
 @dataclass
 class _PromptArea:
     area_id: int

@@ -75,18 +75,13 @@ def test_query_with_scripted_fixture_file(fixture_files, capsys, tmp_path):
     main(["enrich", str(map_path), str(records_path), "-o", str(enriched_path)])
     capsys.readouterr()
 
-    from osmag_nav.llm import ScriptedBackend
     from osmag_nav.osmag import parse_osmag
     from osmag_nav.retrieval import Query, build_prompt
 
     m = parse_osmag(enriched_path.read_text())
-    backend = ScriptedBackend({})
-    backend.record(
-        build_prompt(m, Query("couch")),
-        json.dumps({"rooms": [{"room_id": 105, "nodes": [163]}]}),
-    )
+    reply = json.dumps({"rooms": [{"room_id": 105, "nodes": [163]}]})
     fixtures_path = tmp_path / "replies.json"
-    fixtures_path.write_text(json.dumps(backend.fixtures), encoding="utf-8")
+    fixtures_path.write_text(json.dumps({build_prompt(m, Query("couch")).fingerprint(): reply}), encoding="utf-8")
 
     code = main(
         [
@@ -318,6 +313,29 @@ def test_simulate_malformed_world_file_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "world.json" in err and "Traceback" not in err
+        assert not records_out.exists()
+
+
+@pytest.mark.parametrize(
+    "start, shown",
+    [({"x": 0, "y": 0}, "(0, 0)"), ({"x": 1000, "y": 0}, "(1000, 0)"), ({"x": 1e308, "y": 0}, "(1e+308, 0)")],
+    ids=["on-a-wall", "off-the-map", "beyond-every-cell-index"],
+)
+def test_simulate_start_not_free_is_config_error(tmp_path, capsys, start, shown):
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    (tmp_path / "world.json").write_text(json.dumps({**five_room_world().to_dict(), "start": start}), encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json"})
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    records_out = tmp_path / "records.jsonl"
+    for jobs in ("1", "2"):
+        assert main(["simulate", str(config_path), "-o", str(records_out), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: start {shown} is not a free cell of the map grid\n"
         assert not records_out.exists()
 
 

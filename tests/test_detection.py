@@ -30,7 +30,6 @@ def test_profile_validation():
         DetectionProfile(p_propose_tp=1.5)
     with pytest.raises(DetectionConfigError):
         DetectionProfile(rotation_step_deg=70)
-    assert DetectionProfile(rotation_step_deg=120).views_per_node == 3
 
 
 def test_visible_straight_ahead():
@@ -176,6 +175,10 @@ def test_detect_absent_target_exhausts_views():
     assert not outcome.found
     assert outcome.views_used == 4
     assert outcome.matched_instance is None
+    for step in (1, 45, 120, 360):
+        profile = DetectionProfile(p_propose_tp=1.0, fp_rate=0.0, rotation_step_deg=step)
+        outcome = detect_at_node(world, (0.0, 0.0), "cup", profile, np.random.default_rng(0))
+        assert outcome.views_used == 360 // step
 
 
 def test_detect_false_positive_failure_mode():

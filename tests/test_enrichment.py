@@ -14,13 +14,12 @@ from osmag_nav.enrichment import (
     ingest,
 )
 from osmag_nav.geometry import MetricPoint, unproject
-from osmag_nav.llm import BackendUnavailableError, CompletionRequest, ScriptedBackend, TextBackend
 from osmag_nav.osmag import PARENT_KEY, Area, SemanticMap, containing_area, serialize_osmag, validate
 
 
-def _ingest_one(m, section, record, summarizer=None):
+def _ingest_one(m, section, record):
     """Ingest a one-record payload; returns the map, the report and the new node ids."""
-    out, report = ingest(m, {section: [record]}, summarizer)
+    out, report = ingest(m, {section: [record]})
     return out, report, sorted(set(out.nodes) - set(m.nodes))
 
 
@@ -73,7 +72,7 @@ def test_viewpoints_along_corridor_share_parent():
 
 
 def test_room_description_null_summarizer(bare_map):
-    rec = {"area_id": 101, "descriptions": ["a lab with robot arms"]}
+    rec = {"area_id": 101, "descriptions": ["a lab", "with robot arms"]}
     m, _, _ = _ingest_one(bare_map, "room_descriptions", rec)
     assert m.areas[101].description == "a lab with robot arms"
 
@@ -82,34 +81,6 @@ def test_room_description_null_summarizer_truncates(bare_map):
     long_text = "x" * 900
     m, _, _ = _ingest_one(bare_map, "room_descriptions", {"area_id": 101, "descriptions": [long_text]})
     assert len(m.areas[101].description) == 500
-
-
-def test_room_description_scripted_summarizer(bare_map):
-    rec = {"area_id": 101, "descriptions": ["first image", "second image"]}
-    backend = ScriptedBackend({})
-    req = CompletionRequest(
-        system_text="Summarize room descriptions into one compact paragraph.",
-        user_text="first image second image",
-    )
-    backend.record(req, "a tidy meeting room")
-    m, _, _ = _ingest_one(bare_map, "room_descriptions", rec, backend)
-    assert m.areas[101].description == "a tidy meeting room"
-
-
-class _FailingBackend(TextBackend):
-    kind = "failing"
-
-    def complete_text(self, req):
-        raise BackendUnavailableError("timeout")
-
-
-def test_summarizer_failure_leaves_map_unchanged(bare_map):
-    before = serialize_osmag(bare_map)
-    with pytest.raises(BackendUnavailableError):
-        _ingest_one(
-            bare_map, "room_descriptions", {"area_id": 101, "descriptions": ["anything"]}, _FailingBackend()
-        )
-    assert serialize_osmag(bare_map) == before
 
 
 def test_ingest_copies_map_once_and_leaves_input_unchanged(bare_map, monkeypatch):

@@ -58,7 +58,7 @@ def test_zero_probability_profile_visits_everything(enriched_map, demo_world, he
     assert len(rec.visits) == len(rec.plan_nodes)
     for visit in rec.visits:
         if visit.reached:
-            assert visit.detection.views_used == disabled.views_per_node
+            assert visit.detection.views_used == 360 // disabled.rotation_step_deg
             assert not visit.detection.found
 
 

@@ -11,9 +11,10 @@ from osmag_nav.evalkit import (
     CATEGORIES,
     EvalError,
     QueryGenerationError,
+    _categorize,
+    _mapped_label_positions,
     amd,
     apl,
-    categorize_label,
     compute_report,
     dir_rate,
     generate_queries,
@@ -255,14 +256,19 @@ def test_report_csv_layout():
 # query generation
 
 
+def _category(world, m, label):
+    """The category :func:`generate_queries` gives ``label``."""
+    return _categorize(world, _mapped_label_positions(m), label)
+
+
 def test_categorize_labels(enriched_map, demo_world):
-    assert categorize_label(demo_world, enriched_map, "sink") == "SO"
-    assert categorize_label(demo_world, enriched_map, "TV") == "SO"
-    assert categorize_label(demo_world, enriched_map, "screwdriver") == "RO"
-    assert categorize_label(demo_world, enriched_map, "robot dog") == "RO"
-    assert categorize_label(demo_world, enriched_map, "measuring cup") == "UO"
-    assert categorize_label(demo_world, enriched_map, "presentation remote") == "UO"
-    assert categorize_label(demo_world, enriched_map, "unicorn") is None
+    assert _category(demo_world, enriched_map, "sink") == "SO"
+    assert _category(demo_world, enriched_map, "TV") == "SO"
+    assert _category(demo_world, enriched_map, "screwdriver") == "RO"
+    assert _category(demo_world, enriched_map, "robot dog") == "RO"
+    assert _category(demo_world, enriched_map, "measuring cup") == "UO"
+    assert _category(demo_world, enriched_map, "presentation remote") == "UO"
+    assert _category(demo_world, enriched_map, "unicorn") is None
 
 
 def test_generate_queries_each_category(enriched_map, demo_world):
@@ -346,7 +352,7 @@ def test_generate_queries_matches_categorize_label(enriched_map, demo_world):
     for world, m in _suite_pairs(enriched_map, demo_world):
         labels = sorted({inst.label for inst in world.instances}, key=lambda s: s.strip().lower())
         for category in CATEGORIES:
-            expected = [label for label in labels if categorize_label(world, m, label) == category]
+            expected = [label for label in labels if _category(world, m, label) == category]
             for granularity in ("o", "or", "orf"):
                 wanted = [
                     label

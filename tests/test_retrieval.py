@@ -20,8 +20,9 @@ from osmag_nav.retrieval import (
     extract_first_json_object,
     parse_plan,
     retrieve,
+    _jaccard,
+    normalize_tokens,
     simplify_map,
-    token_set_similarity,
 )
 
 COORD_PATTERN = re.compile(r"-?\d+\.\d{4,}")  # signed decimals with >= 4 fraction digits
@@ -314,8 +315,7 @@ def test_retrieve_scripted_reply(enriched_map):
     canned = json.dumps(
         {"rooms": [{"room_id": 103, "nodes": [158]}, {"room_id": 105, "nodes": [162]}]}
     )
-    backend = ScriptedBackend({})
-    backend.record(build_prompt(enriched_map, Query("robot dog")), canned)
+    backend = ScriptedBackend({build_prompt(enriched_map, Query("robot dog")).fingerprint(): canned})
     plan = retrieve(enriched_map, Query("robot dog"), backend)
     assert [(r.area_id, r.node_ids) for r in plan.rooms] == [(103, [158]), (105, [162])]
 
@@ -325,7 +325,7 @@ def test_retrieve_unmapped_object_ranks_by_description(enriched_map, heuristic_b
     assert plan.rooms, "UO plan must be non-empty"
     # oracle: recompute description similarity per room independently
     scores = {
-        area.id: token_set_similarity("measuring cup", area.description or "")
+        area.id: _jaccard(normalize_tokens("measuring cup"), normalize_tokens(area.description or ""))
         for area in enriched_map.areas.values()
     }
     best = max(sorted(scores), key=lambda aid: scores[aid])
