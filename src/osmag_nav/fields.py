@@ -114,13 +114,15 @@ class Fields:
         """``value`` checked against the type annotation ``hint``. Scalars come
         back unconverted, arrays as the annotated list or tuple, and objects
         annotated with a dataclass as that dataclass."""
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
         if hint in (int, float):
             (self.integer if hint is int else self.number)(value, path)
-        elif hint in (str, bool):
+            return value
+        if hint in (str, bool):
             if type(value) is not hint:
                 self._want(path, "a string" if hint is str else "true or false", value)
-        elif hint is dict or origin is dict:
+            return value
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if hint is dict or origin is dict:
             self.object(value, path)
             if args:
                 return {key: self.typed(args[1], item, _join(path, key)) for key, item in value.items()}

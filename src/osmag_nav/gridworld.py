@@ -136,8 +136,10 @@ class SensorConfig:
     rays: int = 61
 
     def __post_init__(self) -> None:
-        if not (self.fov_deg > 0 and self.range_m > 0 and self.rays >= 1):
-            raise ValueError("sensor needs fov_deg > 0, range_m > 0 and rays >= 1")
+        # the maxima bound what one sense call allocates: a cell walk per ray
+        # of range_m / resolution steps, and one array row per ray
+        if not (self.fov_deg > 0 and 0 < self.range_m <= 100 and 1 <= self.rays <= 3600):
+            raise ValueError("sensor needs fov_deg > 0, 0 < range_m <= 100 and 1 <= rays <= 3600")
 
 
 @dataclass(frozen=True)

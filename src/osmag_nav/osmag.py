@@ -132,7 +132,10 @@ class SemanticMap:
 
     Mutation happens only inside ``enrichment.ingest``, on the one copy it
     makes per call; all other code treats instances as read-only and safe to
-    share.
+    share. A copy has its own element dicts and its own areas, rings and
+    area tags, but shares its :class:`MapNode` and :class:`Passage` objects
+    with the original. So a node or a passage is never edited in place: one
+    that changes is replaced in its dict by a new object.
     """
 
     def __init__(
@@ -148,13 +151,8 @@ class SemanticMap:
         self.projection_origin = projection_origin
 
     def copy(self) -> "SemanticMap":
-        nodes = {i: MapNode(n.id, n.position, dict(n.tags)) for i, n in self.nodes.items()}
         areas = {i: Area(a.id, list(a.ring), dict(a.tags)) for i, a in self.areas.items()}
-        passages = {
-            i: Passage(p.id, list(p.segment), p.connects, dict(p.tags))
-            for i, p in self.passages.items()
-        }
-        return SemanticMap(nodes, areas, passages, self.projection_origin)
+        return SemanticMap(dict(self.nodes), areas, dict(self.passages), self.projection_origin)
 
     # -- lookup helpers -------------------------------------------------
 
@@ -181,19 +179,6 @@ class SemanticMap:
 
     def area_parent(self, area: Area) -> Area | None:
         return self.resolve_area(area.tags.get(PARENT_KEY))
-
-    def area_depth(self, area: Area) -> int:
-        """Length of the parent chain above ``area`` (0 for roots); cycles count as 0."""
-        depth = 0
-        seen = {area.id}
-        current = area
-        while True:
-            parent = self.area_parent(current)
-            if parent is None or parent.id in seen:
-                return depth
-            seen.add(parent.id)
-            depth += 1
-            current = parent
 
     def area_ring_geo(self, area: Area) -> list[tuple[float, float]]:
         """Area ring as (lon, lat) vertex tuples; missing nodes are skipped."""
@@ -566,6 +551,22 @@ class AreaTable:
     """
 
     def __init__(self, m: SemanticMap):
+        resolved: dict[str | None, int | None] = {}  # each parent reference, resolved once
+        parents: dict[int, int | None] = {}  # area id -> parent area id
+        for area in m.areas.values():
+            ref = area.tags.get(PARENT_KEY)
+            if ref not in resolved:
+                parent = m.resolve_area(ref)
+                resolved[ref] = None if parent is None else parent.id
+            parents[area.id] = resolved[ref]
+
+        def depth(area_id: int) -> int:
+            # the distinct areas above ``area_id``; a cycle ends the chain
+            seen = {area_id}
+            while (area_id := parents[area_id]) is not None and area_id not in seen:
+                seen.add(area_id)
+            return len(seen) - 1
+
         keyed = []
         for area in m.areas.values():
             ring = m.area_ring_geo(area)
@@ -573,7 +574,7 @@ class AreaTable:
                 lons, lats = zip(*ring)
                 row = (min(lons) - _BOX_MARGIN_DEG, min(lats) - _BOX_MARGIN_DEG,
                        max(lons) + _BOX_MARGIN_DEG, max(lats) + _BOX_MARGIN_DEG, ring, area.id)
-                keyed.append(((-m.area_depth(area), area.id), row))
+                keyed.append(((-depth(area.id), area.id), row))
         keyed.sort(key=lambda item: item[0])
         rows = [row for _, row in keyed]
         side = math.isqrt(len(rows)) + 1  # cells per axis

@@ -424,6 +424,21 @@ def bf_extract_first_json_object(text: str) -> dict | None:
     return None
 
 
+def bf_area_depth(m, area) -> int:
+    """Length of ``area``'s parent chain, each parent resolved by
+    ``m.area_parent``; the chain ends at a root or at an area already on it."""
+    depth = 0
+    seen = {area.id}
+    current = area
+    while True:
+        parent = m.area_parent(current)
+        if parent is None or parent.id in seen:
+            return depth
+        seen.add(parent.id)
+        depth += 1
+        current = parent
+
+
 def bf_containing_area(m, p) -> int | None:
     """Deepest area (by parent-chain depth) whose ring holds the GeoPoint
     ``p``, ties to the smaller id, found by testing every area's ring."""
@@ -433,7 +448,7 @@ def bf_containing_area(m, p) -> int | None:
         if len(ring) < 3:
             continue
         if point_in_ring(p.lon, p.lat, ring, BOUNDARY_TOL_DEG):
-            key = (-m.area_depth(area), area.id)
+            key = (-bf_area_depth(m, area), area.id)
             if best is None or key < best:
                 best = key
     return None if best is None else best[1]

@@ -316,6 +316,28 @@ def test_simulate_malformed_world_file_is_config_error(tmp_path, capsys):
         assert not records_out.exists()
 
 
+@pytest.mark.parametrize("sensor", [{"range_m": 1e308}, {"rays": 10**30}], ids=["range_m", "rays"])
+def test_simulate_oversized_sensor_is_config_error(tmp_path, capsys, sensor):
+    # refused when the world file is read, before sense sizes anything by them
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    world = five_room_world().to_dict()
+    world["sensor"].update(sensor)
+    (tmp_path / "world.json").write_text(json.dumps(world), encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json"})
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    records_out = tmp_path / "records.jsonl"
+    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "world.json" in err and "'sensor'" in err and "Traceback" not in err
+    assert not records_out.exists()
+
+
 @pytest.mark.parametrize(
     "start, shown",
     [({"x": 0, "y": 0}, "(0, 0)"), ({"x": 1000, "y": 0}, "(1000, 0)"), ({"x": 1e308, "y": 0}, "(1e+308, 0)")],

@@ -149,6 +149,21 @@ def test_validate_clean_fixture(bare_map, enriched_map):
     assert validate(enriched_map) == []
 
 
+def test_copy_shares_nodes_and_passages_but_not_areas(bare_map):
+    # demo 01's pattern: edit an area of a copy, and the original keeps its bytes
+    before = serialize_osmag(bare_map)
+    c = bare_map.copy()
+    assert all(c.nodes[i] is n for i, n in bare_map.nodes.items())
+    assert all(c.passages[i] is p for i, p in bare_map.passages.items())
+    assert all(c.areas[i] is not a for i, a in bare_map.areas.items())
+    c.areas[101].tags["parent"] = "does-not-exist"
+    c.areas[101].ring.pop()
+    nid = c.next_free_node_id()
+    c.nodes[nid] = MapNode(nid, bare_map.nodes[min(bare_map.nodes)].position)
+    assert serialize_osmag(bare_map) == before
+    assert nid not in bare_map.nodes
+
+
 def test_validate_parent_missing(bare_map):
     m = bare_map.copy()
     m.areas[101].tags["parent"] = "999"
@@ -221,7 +236,7 @@ def test_containing_area_prefers_deepest():
             from osmag_nav.geometry import point_in_ring
 
             if point_in_ring(x, y, ring, 1e-9):
-                containing.append((-m.area_depth(area), area.id))
+                containing.append((-oracles.bf_area_depth(m, area), area.id))
         expected = min(containing)[1] if containing else None
         assert got == expected
         assert got in (101, 102)  # never the floor: rooms are deeper
@@ -242,9 +257,11 @@ def test_serialize_quotes_tags_as_quoteattr_does(monkeypatch):
 
 
 def _with_awkward_areas(m: SemanticMap) -> SemanticMap:
-    """``m`` plus root areas west of it that the tie-breaks decide: nested
+    """``m`` plus areas west of it that the tie-breaks decide: nested root
     areas of equal depth in both id orders, a deeper area inside them, a
-    two-vertex ring and a ring naming a node the map lacks."""
+    two-vertex ring, a ring naming a node the map lacks, two nested areas
+    that are each other's parent with a child of the outer one inside both,
+    and an area whose parent names another area by its name."""
     m = m.copy()
     ids = itertools.count(m.next_free_node_id())
 
@@ -265,6 +282,14 @@ def _with_awkward_areas(m: SemanticMap) -> SemanticMap:
     area(-10.0, 3.0, -6.0, 7.0, {"parent": str(outer)})  # deeper: wins inside it
     area(-29.0, 1.0, -27.0, 9.0, corners=2)
     area(-28.0, 12.0, -20.0, 20.0, corners=3, missing=[10**9])
+    # a parent cycle puts each of its areas at depth 1, not at the cycle's length
+    area(-60.0, 1.0, -52.0, 9.0, {"parent": str(outer)})  # depth 1, lower id: wins over cycle_outer
+    cycle_outer = area(-56.0, 0.0, -40.0, 10.0)
+    cycle_inner = area(-50.0, 2.0, -42.0, 8.0, {"parent": str(cycle_outer)})  # cycle_outer wins inside it
+    m.areas[cycle_outer].tags["parent"] = str(cycle_inner)
+    area(-48.0, 3.0, -44.0, 7.0, {"parent": str(cycle_outer)})  # depth 2: wins inside it
+    area(-60.0, 12.0, -40.0, 20.0, {"name": "awkward hall"})
+    area(-55.0, 13.0, -45.0, 19.0, {"parent": "awkward hall"})  # depth 1: wins inside it
     return m
 
 

@@ -11,7 +11,7 @@ import math
 
 from osmag_nav import gridworld, osmag
 from osmag_nav.enrichment import ingest
-from osmag_nav.osmag import SemanticMap
+from osmag_nav.osmag import MapNode, SemanticMap
 from osmag_nav.retrieval import simplify_map
 
 MAX_RATIO = 1.5  # largest allowed spread of a per-operation count across the building sizes
@@ -61,6 +61,26 @@ def test_one_map_copy_per_ingest_call(monkeypatch, buildings):
             copies.clear()
             m, _ = ingest(m, batch)
             assert len(copies) == 1
+
+
+def test_ingest_constructs_only_the_nodes_it_adds(monkeypatch, buildings):
+    # the copy ingest writes to shares the map's nodes; it builds only new ones
+    built: list[int] = []
+    init = MapNode.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MapNode, "__init__", counted)
+    for b in buildings.values():
+        m = b.bare
+        for batch in b.batches:
+            built.clear()
+            out, report = ingest(m, batch)
+            assert report.total_applied > 1
+            assert len(built) == len(out.nodes) - len(m.nodes)
+            m = out
 
 
 def test_simplify_resolves_each_semantic_node_once(monkeypatch, buildings):
