@@ -42,7 +42,6 @@ from .osmag import (
     Passage,
     SemanticMap,
     Violation,
-    containing_area,
     map_size_bytes,
     parse_osmag,
     serialize_osmag,
@@ -91,7 +90,6 @@ __all__ = [
     "apl",
     "build_prompt",
     "compute_report",
-    "containing_area",
     "detect_at_node",
     "generate_queries",
     "ingest",

@@ -94,7 +94,7 @@ class EpisodeRecord:
 
 
 def write_records(records: list[EpisodeRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
 

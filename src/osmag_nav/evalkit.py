@@ -31,7 +31,7 @@ from .geometry import MetricPoint
 from .fields import Fields, read_text
 from .gridworld import DEFAULT_RESOLUTION_M, FREE, INFLATION_M, WorldModel, inflate, normalize_label, render_grid
 from .llm import make_backend
-from .osmag import SemanticMap, containing_area_metric, map_size_bytes, parse_osmag
+from .osmag import AreaTable, SemanticMap, containing_area_metric, map_size_bytes, parse_osmag
 from .retrieval import MAP_MODES, Query
 
 SO = "SO"
@@ -307,13 +307,14 @@ def generate_queries(
     out: list[Query] = []
     mapped_positions = _mapped_label_positions(m)
     labels = sorted({inst.label for inst in world.instances}, key=normalize_label)
+    table = AreaTable(m) if granularity in ("or", "orf") else None
     for label in labels:
         if _categorize(world, mapped_positions, label) != category:
             continue
         room = floor = None
         if granularity in ("or", "orf"):
             first = world.instances_of(label)[0][1]
-            area_id = containing_area_metric(m, first.position)
+            area_id = containing_area_metric(m, first.position, table)
             if area_id is None:
                 continue
             area = m.areas[area_id]

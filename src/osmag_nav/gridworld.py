@@ -370,8 +370,6 @@ def inflate(grid: OccupancyGrid, radius_m: float) -> OccupancyGrid:
     """Dilate occupied cells by a disk; stands in for costmap inflation.
     Cells beyond the grid's edge count as free."""
     radius_cells = int(round(radius_m / grid.resolution))
-    if radius_cells <= 0:
-        return grid.copy()
     occupied = grid.cells == OCCUPIED
     dilated = occupied.copy()
     h, w = occupied.shape
@@ -637,17 +635,13 @@ def _plan_from(
     # The robot may be standing inside an inflation halo (e.g. hugging a
     # wall). Cells near the start that are only inflated, not truly occupied,
     # are passable in reality, so clear them for this plan; raw walls stay.
-    cleared = None
-    for dy in range(-halo_cells, halo_cells + 1):
-        for dx in range(-halo_cells, halo_cells + 1):
-            cell = (start[0] + dx, start[1] + dy)
-            if not planning.in_bounds(cell):
-                continue
-            if planning.at(cell) == OCCUPIED and raw.at(cell) != OCCUPIED:
-                if cleared is None:
-                    cleared = planning.copy()
-                cleared.cells[cell[1], cell[0]] = raw.at(cell)
-    return plan_path(cleared if cleared is not None else planning, start, goal)
+    # ``planning`` is ``inflate(raw)``, which holds every raw occupied cell,
+    # so clearing the window's inflated-only cells copies the raw window.
+    x0, y0 = max(start[0] - halo_cells, 0), max(start[1] - halo_cells, 0)
+    x1, y1 = start[0] + halo_cells + 1, start[1] + halo_cells + 1
+    cleared = planning.copy()
+    cleared.cells[y0:y1, x0:x1] = raw.cells[y0:y1, x0:x1]
+    return plan_path(cleared, start, goal)
 
 
 def navigate(

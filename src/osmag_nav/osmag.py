@@ -177,8 +177,19 @@ class SemanticMap:
     def node_parent_area(self, node: MapNode) -> Area | None:
         return self.resolve_area(node.tags.get(PARENT_KEY))
 
-    def area_parent(self, area: Area) -> Area | None:
-        return self.resolve_area(area.tags.get(PARENT_KEY))
+    def area_parents(self) -> dict[int, int | None]:
+        """Each area's parent area id, in area order; None where the
+        ``parent`` tag is missing or does not resolve. Each distinct
+        reference is resolved once."""
+        resolved: dict[str | None, int | None] = {}
+        out: dict[int, int | None] = {}
+        for area in self.areas.values():
+            ref = area.tags.get(PARENT_KEY)
+            if ref not in resolved:
+                parent = self.resolve_area(ref)
+                resolved[ref] = None if parent is None else parent.id
+            out[area.id] = resolved[ref]
+        return out
 
     def area_ring_geo(self, area: Area) -> list[tuple[float, float]]:
         """Area ring as (lon, lat) vertex tuples; missing nodes are skipped."""
@@ -426,6 +437,7 @@ def serialize_osmag(m: SemanticMap) -> str:
 def validate(m: SemanticMap) -> list[Violation]:
     """Check every structural invariant; violations are data, not failures."""
     out: list[Violation] = []
+    parents = m.area_parents()
 
     origin_in_band = abs(m.projection_origin.lat) < MAX_SUPPORTED_LAT
     for node in m.nodes.values():
@@ -452,10 +464,10 @@ def validate(m: SemanticMap) -> list[Violation]:
         if not ring_is_simple(ring):
             out.append(Violation(area.id, "self-intersecting", "area polygon is not simple"))
         parent_ref = area.tags.get(PARENT_KEY)
-        if parent_ref is not None and m.resolve_area(parent_ref) is None:
+        if parent_ref is not None and parents[area.id] is None:
             out.append(Violation(area.id, "parent-missing", f"parent '{parent_ref}' does not resolve"))
 
-    out.extend(_parent_cycles(m))
+    out.extend(_parent_cycles(parents))
 
     for p in m.passages.values():
         for side in p.connects:
@@ -506,15 +518,15 @@ def validate(m: SemanticMap) -> list[Violation]:
     return out
 
 
-def _parent_cycles(m: SemanticMap) -> list[Violation]:
+def _parent_cycles(parents: dict[int, int | None]) -> list[Violation]:
     out = []
     reported: set[int] = set()
-    for area in sorted(m.areas.values(), key=lambda a: a.id):
+    for area_id in sorted(parents):
         seen: list[int] = []
-        current: Area | None = area
+        current: int | None = area_id
         while current is not None:
-            if current.id in seen:
-                cycle = seen[seen.index(current.id):]
+            if current in seen:
+                cycle = seen[seen.index(current):]
                 anchor = min(cycle)
                 if anchor not in reported:
                     reported.add(anchor)
@@ -523,8 +535,8 @@ def _parent_cycles(m: SemanticMap) -> list[Violation]:
                                   "parent chain forms a cycle " + "->".join(map(str, cycle)))
                     )
                 break
-            seen.append(current.id)
-            current = m.area_parent(current)
+            seen.append(current)
+            current = parents[current]
     return out
 
 
@@ -551,14 +563,7 @@ class AreaTable:
     """
 
     def __init__(self, m: SemanticMap):
-        resolved: dict[str | None, int | None] = {}  # each parent reference, resolved once
-        parents: dict[int, int | None] = {}  # area id -> parent area id
-        for area in m.areas.values():
-            ref = area.tags.get(PARENT_KEY)
-            if ref not in resolved:
-                parent = m.resolve_area(ref)
-                resolved[ref] = None if parent is None else parent.id
-            parents[area.id] = resolved[ref]
+        parents = m.area_parents()
 
         def depth(area_id: int) -> int:
             # the distinct areas above ``area_id``; a cycle ends the chain
@@ -593,6 +598,11 @@ class AreaTable:
         return int((lon - self.lon0) * self.lon_scale), int((lat - self.lat0) * self.lat_scale)
 
     def containing(self, p: GeoPoint) -> int | None:
+        """Deepest area (by parent-chain depth) whose polygon contains ``p``.
+
+        Even-odd rule; the boundary counts as inside (tolerance
+        ``BOUNDARY_TOL_DEG``). Ties on depth break toward the smaller area id.
+        """
         lon, lat = p.lon, p.lat
         for x0, y0, x1, y1, ring, area_id in self.cells.get(self._cell(lon, lat), ()):
             if x0 <= lon <= x1 and y0 <= lat <= y1 and point_in_ring(lon, lat, ring, BOUNDARY_TOL_DEG):
@@ -600,19 +610,10 @@ class AreaTable:
         return None
 
 
-def containing_area(m: SemanticMap, p: GeoPoint) -> int | None:
-    """Deepest area (by parent-chain depth) whose polygon contains ``p``.
-
-    Even-odd rule; the boundary counts as inside (tolerance
-    ``BOUNDARY_TOL_DEG``). Ties on depth break toward the smaller area id.
-    """
-    return AreaTable(m).containing(p)
-
-
-def containing_area_metric(m: SemanticMap, p: MetricPoint, table: AreaTable | None = None) -> int | None:
-    """:func:`containing_area` of a metric point; ``table``, when given, is
-    an :class:`AreaTable` of ``m`` built by the caller for many lookups."""
-    return (AreaTable(m) if table is None else table).containing(unproject(p, m.projection_origin))
+def containing_area_metric(m: SemanticMap, p: MetricPoint, table: AreaTable) -> int | None:
+    """:meth:`AreaTable.containing` of a metric point; ``table`` is an
+    :class:`AreaTable` of ``m``."""
+    return table.containing(unproject(p, m.projection_origin))
 
 
 def map_size_bytes(m: SemanticMap) -> int:

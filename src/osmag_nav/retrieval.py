@@ -136,9 +136,8 @@ def simplify_map(m: SemanticMap, mode: str = "full") -> str:
         raise ValueError(f"unknown simplify mode '{mode}'")
 
     children: dict[int | None, list[int]] = {}
-    for area in m.areas.values():
-        parent = m.area_parent(area)
-        children.setdefault(parent.id if parent is not None else None, []).append(area.id)
+    for area_id, parent_id in m.area_parents().items():
+        children.setdefault(parent_id, []).append(area_id)
     for ids in children.values():
         ids.sort()
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from osmag_nav.geometry import BOUNDARY_TOL_DEG, EARTH_RADIUS_M, MetricPoint, point_in_ring
 from osmag_nav.gridworld import FREE, OCCUPIED, RENDER_MARGIN_M, NoPathError, OccupancyGrid
-from osmag_nav.osmag import FROM_KEY, TO_KEY
+from osmag_nav.osmag import FROM_KEY, PARENT_KEY, TO_KEY
 
 ROOT2 = math.sqrt(2.0)
 
@@ -426,12 +426,13 @@ def bf_extract_first_json_object(text: str) -> dict | None:
 
 def bf_area_depth(m, area) -> int:
     """Length of ``area``'s parent chain, each parent resolved by
-    ``m.area_parent``; the chain ends at a root or at an area already on it."""
+    ``m.resolve_area`` at every step; the chain ends at a root or at an area
+    already on it."""
     depth = 0
     seen = {area.id}
     current = area
     while True:
-        parent = m.area_parent(current)
+        parent = m.resolve_area(current.tags.get(PARENT_KEY))
         if parent is None or parent.id in seen:
             return depth
         seen.add(parent.id)
@@ -529,6 +530,21 @@ def bf_dilate(cells: np.ndarray, radius_cells: int) -> np.ndarray:
         stamp = disk[y0 - (y - r) : y1 - (y - r), x0 - (x - r) : x1 - (x - r)]
         out[y0:y1, x0:x1][stamp] = OCCUPIED
     return out
+
+
+def bf_clear_halo(planning, raw, start, halo_cells: int):
+    """``planning`` with each cell within ``halo_cells`` of ``start`` (both
+    axes) that is occupied in ``planning`` but not in ``raw`` set to its raw
+    value, cell by cell."""
+    cleared = planning.copy()
+    for dy in range(-halo_cells, halo_cells + 1):
+        for dx in range(-halo_cells, halo_cells + 1):
+            cell = (start[0] + dx, start[1] + dy)
+            if not planning.in_bounds(cell):
+                continue
+            if planning.at(cell) == OCCUPIED and raw.at(cell) != OCCUPIED:
+                cleared.cells[cell[1], cell[0]] = raw.at(cell)
+    return cleared
 
 
 def bf_plan_path(grid, start, goal):

@@ -14,7 +14,7 @@ from osmag_nav.enrichment import (
     ingest,
 )
 from osmag_nav.geometry import MetricPoint, unproject
-from osmag_nav.osmag import PARENT_KEY, Area, SemanticMap, containing_area, serialize_osmag, validate
+from osmag_nav.osmag import PARENT_KEY, Area, AreaTable, SemanticMap, serialize_osmag, validate
 
 
 def _ingest_one(m, section, record):
@@ -47,8 +47,9 @@ def test_same_label_two_rooms_distinct_parents(bare_map):
     p2 = m.node_parent_area(m.nodes[n2])
     assert p1.id != p2.id
     # oracle: containment of the record centroids
-    assert containing_area(m, m.nodes[n1].position) == p1.id
-    assert containing_area(m, m.nodes[n2].position) == p2.id
+    table = AreaTable(m)
+    assert table.containing(m.nodes[n1].position) == p1.id
+    assert table.containing(m.nodes[n2].position) == p2.id
 
 
 def test_viewpoint_node_joins_observed(bare_map):
@@ -68,7 +69,7 @@ def test_viewpoints_along_corridor_share_parent():
     for x in (4.0, 10.0, 16.0):
         m, _, (nid,) = _ingest_one(m, "viewpoints", {"x": x, "y": 1.5, "observed": ["sign"]})
         assert m.node_parent_area(m.nodes[nid]).id == 100
-        assert containing_area(m, m.nodes[nid].position) == 100
+        assert AreaTable(m).containing(m.nodes[nid].position) == 100
 
 
 def test_room_description_null_summarizer(bare_map):
@@ -238,7 +239,7 @@ def test_ingest_order_deterministic(bare_map):
     assert serialize_osmag(a) == serialize_osmag(b)
 
 
-def _oracle_containing_area_metric(m, p, table=None):
+def _oracle_containing_area_metric(m, p, table):
     return oracles.bf_containing_area(m, unproject(p, m.projection_origin))
 
 

@@ -158,6 +158,17 @@ def test_records_round_trip_through_jsonl(tmp_path, enriched_map, demo_world, he
     assert isinstance(loaded[0], EpisodeRecord)
 
 
+def test_records_file_ends_lines_in_lf_on_every_platform(tmp_path, enriched_map, demo_world, heuristic_backend, demo_profile):
+    # records.jsonl is hashed for byte-identity; text mode would write the
+    # platform's line end
+    recs = [run_episode(_cfg(enriched_map, demo_world, heuristic_backend, demo_profile, Query("sink")))]
+    path = tmp_path / "records.jsonl"
+    write_records(recs, str(path))
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data == (recs[0].to_json() + "\n").encode("utf-8")
+
+
 def test_unreachable_node_skipped_without_detection(enriched_map, heuristic_backend, demo_profile):
     # a world whose walls seal the lounge doorway: the sink node is unreachable
     from osmag_nav.fixtures import five_room_world

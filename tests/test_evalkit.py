@@ -347,9 +347,10 @@ def _suite_pairs(enriched_map, demo_world):
 
 
 def test_generate_queries_matches_categorize_label(enriched_map, demo_world):
-    from osmag_nav.osmag import containing_area_metric
+    from osmag_nav.osmag import AreaTable, containing_area_metric
 
     for world, m in _suite_pairs(enriched_map, demo_world):
+        table = AreaTable(m)
         labels = sorted({inst.label for inst in world.instances}, key=lambda s: s.strip().lower())
         for category in CATEGORIES:
             expected = [label for label in labels if _category(world, m, label) == category]
@@ -358,7 +359,7 @@ def test_generate_queries_matches_categorize_label(enriched_map, demo_world):
                     label
                     for label in expected
                     if granularity == "o"
-                    or containing_area_metric(m, world.instances_of(label)[0][1].position) is not None
+                    or containing_area_metric(m, world.instances_of(label)[0][1].position, table) is not None
                 ]
                 if not wanted:
                     with pytest.raises(QueryGenerationError):

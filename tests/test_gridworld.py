@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import mapgen
 import osmag_nav
-from oracles import bf_dilate, bf_plan_path, bf_render_grid, bf_sense, bresenham, dijkstra_cost, ray_rect_hit
+from oracles import bf_clear_halo, bf_dilate, bf_plan_path, bf_render_grid, bf_sense, bresenham, dijkstra_cost, ray_rect_hit
 from osmag_nav import gridworld
 from osmag_nav.fixtures import five_room_map
 from osmag_nav.geometry import MetricPoint
@@ -567,6 +568,27 @@ def test_navigate_escapes_inflation_halo_at_start():
     true_grid = render_true_grid(grid, world)
     for x, y, _ in out.driven_path:
         assert true_grid.at(true_grid.cell_of(x, y)) != OCCUPIED
+
+
+def test_plan_from_clears_the_halo_as_the_cell_loop_does(monkeypatch):
+    # the grid _plan_from hands to plan_path, against the per-cell oracle, on
+    # random grids with starts on every edge, in corners and inside
+    planned: list[OccupancyGrid] = []
+    monkeypatch.setattr(gridworld, "plan_path", lambda grid, start, goal: planned.append(grid))
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        height, width = (int(v) for v in rng.integers(1, 20, size=2))
+        cells = (rng.random((height, width)) < rng.uniform(0.0, 0.3)).astype(np.uint8)
+        raw = OccupancyGrid(0.1, MetricPoint(0.0, 0.0), cells)
+        planning = inflate(raw, float(rng.choice([0.0, 0.1, 0.25, 0.4])))
+        xs = {0, width - 1, int(rng.integers(width))}
+        ys = {0, height - 1, int(rng.integers(height))}
+        for start in itertools.product(sorted(xs), sorted(ys)):
+            halo_cells = int(rng.integers(0, 6))
+            planned.clear()
+            gridworld._plan_from(planning, raw, start, (0, 0), halo_cells)
+            expected = bf_clear_halo(planning, raw, start, halo_cells)
+            assert np.array_equal(planned[0].cells, expected.cells), (start, halo_cells)
 
 
 def test_navigate_blocked_goal_fails_after_discovery():

@@ -18,7 +18,6 @@ from osmag_nav.osmag import (
     MapNode,
     MapParseError,
     SemanticMap,
-    containing_area,
     containing_area_metric,
     map_size_bytes,
     parse_osmag,
@@ -179,6 +178,18 @@ def test_validate_parent_cycle(bare_map):
     assert "parent-cycle" in rules
 
 
+def test_validate_reports_each_parent_cycle_once_at_its_smallest_id(bare_map):
+    # 105 leads into the 101 cycle and 104 is its own parent; parents are
+    # named by id and by name
+    m = bare_map.copy()
+    for area_id, parent in ((101, "robotics lab"), (103, "102"), (102, "101"), (104, "104"), (105, "101")):
+        m.areas[area_id].tags["parent"] = parent
+    assert [str(v) for v in validate(m)] == [
+        "[parent-cycle] element 101: parent chain forms a cycle 101->103->102",
+        "[parent-cycle] element 104: parent chain forms a cycle 104",
+    ]
+
+
 def test_validate_semantic_key_conflict(bare_map):
     m = bare_map.copy()
     nid = m.next_free_node_id()
@@ -217,18 +228,20 @@ def test_validated_map_survives_round_trip(bare_map, enriched_map):
 
 def test_containing_area_simple(bare_map):
     center = unproject(MetricPoint(3.5, 17.5), bare_map.projection_origin)
-    assert containing_area(bare_map, center) == 101
+    table = AreaTable(bare_map)
+    assert table.containing(center) == 101
     outside = unproject(MetricPoint(-5.0, -5.0), bare_map.projection_origin)
-    assert containing_area(bare_map, outside) is None
+    assert table.containing(outside) is None
 
 
 def test_containing_area_prefers_deepest():
     m = mapgen.nested_map()
     rng = np.random.default_rng(5)
+    table = AreaTable(m)
     for _ in range(50):
         x = rng.uniform(0.5, 11.5)
         y = rng.uniform(0.5, 5.5)
-        got = containing_area_metric(m, MetricPoint(x, y))
+        got = containing_area_metric(m, MetricPoint(x, y), table)
         # brute-force oracle: deepest containing area, ties to smaller id
         containing = []
         for area in m.areas.values():
@@ -326,7 +339,7 @@ def test_containing_area_matches_oracle(buildings, rooms):
         expected = oracles.bf_containing_area(m, p)
         assert table.containing(p) == expected, (lon, lat)
         if i % 50 == 0:
-            assert containing_area(m, p) == expected, (lon, lat)
+            assert AreaTable(m).containing(p) == expected, (lon, lat)
         seen.add(expected)
     assert None in seen and len(seen) > 10
 

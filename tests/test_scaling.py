@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from osmag_nav import gridworld, osmag
 from osmag_nav.enrichment import ingest
-from osmag_nav.osmag import MapNode, SemanticMap
+from osmag_nav.evalkit import SO, generate_queries
+from osmag_nav.osmag import PARENT_KEY, AreaTable, MapNode, SemanticMap, validate
 from osmag_nav.retrieval import simplify_map
 
 MAX_RATIO = 1.5  # largest allowed spread of a per-operation count across the building sizes
@@ -97,6 +100,44 @@ def test_simplify_resolves_each_semantic_node_once(monkeypatch, buildings):
         calls.clear()
         simplify_map(m, "full")
         assert len(calls) == len(m.semantic_nodes()) > 0
+
+
+@pytest.mark.parametrize("operation", [lambda m: simplify_map(m, "full"), validate], ids=["simplify_map", "validate"])
+def test_each_parent_reference_resolved_once(monkeypatch, buildings, operation):
+    # one resolution per semantic node and one per distinct area reference,
+    # not one per area or per step of a parent chain
+    calls: list[str | None] = []
+    resolve = SemanticMap.resolve_area
+
+    def counted(self, ref):
+        calls.append(ref)
+        return resolve(self, ref)
+
+    monkeypatch.setattr(SemanticMap, "resolve_area", counted)
+    for b in buildings.values():
+        m, _ = ingest(b.bare, b.records)
+        references = {area.tags.get(PARENT_KEY) for area in m.areas.values()}
+        calls.clear()
+        operation(m)
+        assert len(calls) == len(m.semantic_nodes()) + len(references), len(calls)
+
+
+def test_one_area_table_per_generate_queries_call(monkeypatch, buildings, enriched_map, demo_world):
+    built: list[int] = []
+    init = AreaTable.__init__
+
+    def counted(self, m):
+        built.append(1)
+        init(self, m)
+
+    monkeypatch.setattr(AreaTable, "__init__", counted)
+    pairs = [(demo_world, enriched_map)] + [(b.world, ingest(b.bare, b.records)[0]) for b in buildings.values()]
+    for world, m in pairs:
+        for granularity in ("o", "or", "orf"):
+            built.clear()
+            assert generate_queries(world, m, granularity, SO)
+            # only the room and floor fields need a containing area
+            assert len(built) == (granularity != "o")
 
 
 def _offered(batch: dict) -> int:
