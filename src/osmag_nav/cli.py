@@ -16,7 +16,6 @@ import sys
 from . import fixtures
 from .enrichment import EnrichmentError, ingest
 from .evalkit import (
-    DIR_MODES,
     EvalError,
     apl as apl_metric,
     compute_report,
@@ -30,7 +29,6 @@ from .geometry import GeometryError
 from .gridworld import DEFAULT_RESOLUTION_M, render_grid
 from .llm import BACKEND_KINDS, BackendError, make_backend
 from .osmag import (
-    MapParseError,
     OsmagError,
     map_size_bytes,
     parse_osmag,
@@ -160,13 +158,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.output:
         _write_text(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.csv:
-        _write_text(args.csv, report_to_csv(report, args.dir_mode))
+        _write_text(args.csv, report_to_csv(report))
     lines = [f"episodes: {report.episodes}", f"r_rsr: {report.r_rsr:.4f}"]
     if report.amd_m is not None:
         lines.append(f"amd_m: {report.amd_m:.4f}")
     if report.apl_m is not None:
         lines.append(f"apl_m: {report.apl_m:.4f}")
-    lines.append(f"dir[{args.dir_mode}]: {report.dir[args.dir_mode]:.4f}")
+    lines.append(f"dir[all_queries]: {report.dir['all_queries']:.4f}")
     _emit(payload, args.json, lines)
     return EXIT_OK
 
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the report JSON here")
     p.add_argument("--csv", help="also write a results-table CSV here")
     p.add_argument("--map", help="map file to measure for the map-size metric")
-    p.add_argument("--dir-mode", choices=DIR_MODES, default="all_queries")
     p.add_argument(
         "--apl-intersect",
         help="a baseline's episode-records file; restricts APL to episodes both systems solved",
@@ -309,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MapParseError, OsmagError, EnrichmentError, PlanError, GeometryError) as exc:
+    except (OsmagError, PlanError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

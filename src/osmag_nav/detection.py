@@ -16,16 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridworld import WorldModel, _ray_hits
+from .gridworld import ObjectInstance, WorldModel, _ray_hits
 
 
 # confidence ranges of true and spurious proposals, drawn uniformly
 CONF_TP = (0.5, 1.0)
 CONF_FP = (0.1, 0.8)
-
-
-class DetectionConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -40,11 +36,11 @@ class DetectionProfile:
         for name in ("p_propose_tp", "p_verify_tp", "p_verify_fp"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise DetectionConfigError(f"{name}={value} outside [0, 1]")
+                raise ValueError(f"{name}={value} outside [0, 1]")
         if self.fp_rate < 0.0:
-            raise DetectionConfigError("fp_rate must be >= 0")
+            raise ValueError("fp_rate must be >= 0")
         if self.rotation_step_deg <= 0 or 360 % self.rotation_step_deg != 0:
-            raise DetectionConfigError("rotation_step_deg must divide 360")
+            raise ValueError("rotation_step_deg must divide 360")
 
 
 @dataclass(frozen=True)
@@ -67,31 +63,26 @@ def _wrap_deg(angle: float) -> float:
     return (angle + 180.0) % 360.0 - 180.0
 
 
-def visible_instances(
+def visible(
     world: WorldModel,
     pose: tuple[float, float, float],
-) -> list[int]:
-    """Instance indices within range of ``world.sensor``, within its FOV
-    half-angle of the heading, and with an unobstructed line of sight."""
+    inst: ObjectInstance,
+) -> bool:
+    """Whether ``inst`` is within range of ``world.sensor``, within its FOV
+    half-angle of the heading, and has an unobstructed line of sight."""
     x, y, heading = pose
     cfg = world.sensor
-    half = cfg.fov_deg / 2.0
-    out = []
-    for i, inst in enumerate(world.instances):
-        dx, dy = inst.position.x - x, inst.position.y - y
-        r = math.hypot(dx, dy)
-        if r > cfg.range_m:
-            continue
-        if r > 1e-9:
-            bearing = math.degrees(math.atan2(dy, dx))
-            if abs(_wrap_deg(bearing - heading)) > half + 1e-9:
-                continue
-        # cast the sight line as a ray whose unit length reaches the instance:
-        # a wall blocks it only when the first hit comes strictly before t = 1
-        if _ray_hits((x, y), np.array([[dx, dy]]), world.segments, math.inf)[0] < 1.0 - 1e-9:
-            continue
-        out.append(i)
-    return out
+    dx, dy = inst.position.x - x, inst.position.y - y
+    r = math.hypot(dx, dy)
+    if r > cfg.range_m:
+        return False
+    if r > 1e-9:
+        bearing = math.degrees(math.atan2(dy, dx))
+        if abs(_wrap_deg(bearing - heading)) > cfg.fov_deg / 2.0 + 1e-9:
+            return False
+    # cast the sight line as a ray whose unit length reaches the instance:
+    # a wall blocks it only when the first hit comes strictly before t = 1
+    return _ray_hits((x, y), np.array([[dx, dy]]), world.segments, math.inf)[0] >= 1.0 - 1e-9
 
 
 def propose(
@@ -108,10 +99,9 @@ def propose(
     ``p_propose_tp``; spurious proposals arrive Poisson(fp_rate).
     """
     x, y, _ = pose
-    visible = set(visible_instances(world, pose))
     proposals: list[Proposal] = []
     for idx, inst in world.instances_of(query_object):
-        if idx not in visible:
+        if not visible(world, pose, inst):
             continue
         if rng.random() < profile.p_propose_tp:
             conf = float(rng.uniform(*CONF_TP))

@@ -36,11 +36,8 @@ DESCRIPTION_LIMIT = 500
 
 
 class EnrichmentError(OsmagError):
-    pass
-
-
-class OrphanRecordError(EnrichmentError):
-    """Record position lies outside every mapped area."""
+    """A record cannot be applied, for example because it lies outside
+    every mapped area."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ def _add_node(
         area_id = None  # no latitude/longitude represents the point
     if area_id is None:
         at = ", ".join(f"{v:.2f}" if abs(v) < 1e9 else f"{v:.3g}" for v in (where.x, where.y))
-        raise OrphanRecordError(f"{what} at ({at}) lies outside every area")
+        raise EnrichmentError(f"{what} at ({at}) lies outside every area")
     m.nodes[nid] = MapNode(nid, m.metric_to_geo(where), {key: value, PARENT_KEY: str(area_id)})
 
 
@@ -187,18 +184,14 @@ def ingest(m: SemanticMap, records: dict) -> tuple[SemanticMap, IngestReport]:
     instances, report.merged_instances = _merge_instances(instances)
 
     out = m.copy()
-    # Areas do not change below, so one table serves every record, and ids
-    # count up from the first free one. A new node can only complete an area
-    # ring that names a node the map lacks; the table is rebuilt then.
+    # Areas do not change below, and no new id is one a ring names, so one
+    # table serves every record; ids count up from the first free one.
     table = AreaTable(out)
     next_id = out.next_free_node_id()
-    dangling = {nid for area in out.areas.values() for nid in area.ring} - out.nodes.keys()
 
     def add_node(*args) -> None:
-        nonlocal table, next_id
+        nonlocal next_id
         _add_node(out, table, next_id, *args)
-        if next_id in dangling:
-            table = AreaTable(out)
         next_id += 1
 
     def apply(section: str, step, *args) -> None:

@@ -55,10 +55,6 @@ class EvalError(Exception):
     pass
 
 
-class QueryGenerationError(EvalError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # metric primitives
 
@@ -218,11 +214,9 @@ def compute_report(records: list[EpisodeRecord], map_size: int | None = None) ->
     )
 
 
-def report_to_csv(report: MetricsReport, dir_mode: str = "all_queries") -> str:
+def report_to_csv(report: MetricsReport) -> str:
     """One row per slice, mirroring the common results-table column layout;
-    ``dir_mode`` picks which of the report's two DIR values the DIR column shows."""
-    if dir_mode not in DIR_MODES:
-        raise EvalError(f"unknown dir mode '{dir_mode}'")
+    the DIR column shows the report's ``all_queries`` DIR."""
     o_cells = [(str(n), f"{k:g}") for n in reversed(TOP_N) for k in K_THRESHOLDS_M]
     header = (
         ["slice", "episodes", "R-RSR"]
@@ -241,7 +235,7 @@ def report_to_csv(report: MetricsReport, dir_mode: str = "all_queries") -> str:
         return (
             [label, str(block["episodes"]), fmt(block["r_rsr"])]
             + [fmt(block["o_rsr"][n][k]) for n, k in o_cells]
-            + [fmt(block["amd_m"]), fmt(block["dir"][dir_mode]), fmt(block["apl_m"])]
+            + [fmt(block["amd_m"]), fmt(block["dir"]["all_queries"]), fmt(block["apl_m"])]
         )
 
     buffer = io.StringIO()
@@ -323,9 +317,7 @@ def generate_queries(
                 floor = area.level or "0"
         out.append(Query(object=label, room=room, floor=floor if granularity == "orf" else None))
     if not out:
-        raise QueryGenerationError(
-            f"category {category} is unrealizable with this world/map pairing"
-        )
+        raise EvalError(f"category {category} is unrealizable with this world/map pairing")
     return out
 
 

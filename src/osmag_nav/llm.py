@@ -35,19 +35,9 @@ MAX_TOKENS = 1024
 
 
 class BackendError(Exception):
-    """Base error for completion backends."""
-
-
-class CredentialError(BackendError):
-    """Live backend selected but no API key in the environment."""
-
-
-class BackendUnavailableError(BackendError):
-    """Network/transport failure that survived all retries."""
-
-
-class MissingFixtureError(BackendError):
-    """Scripted backend has no reply for this prompt hash."""
+    """A completion backend failed: a bad spec, a missing API key, no
+    scripted reply for a prompt, or a transport failure that survived all
+    retries."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,7 @@ class ScriptedBackend(TextBackend):
     def complete_text(self, req: CompletionRequest) -> str:
         key = req.fingerprint()
         if key not in self.fixtures:
-            raise MissingFixtureError(f"no scripted reply for prompt hash {key[:16]}…")
+            raise BackendError(f"no scripted reply for prompt hash {key[:16]}…")
         return self.fixtures[key]
 
 
@@ -126,7 +116,7 @@ class LiveBackend(TextBackend):
         self._gate = threading.Semaphore(f.integer(max_in_flight, "max_in_flight", minimum=1))
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
-            raise CredentialError(f"set {API_KEY_ENV} to use the live backend")
+            raise BackendError(f"set {API_KEY_ENV} to use the live backend")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self._api_key = key
@@ -161,7 +151,7 @@ class LiveBackend(TextBackend):
                         url, json=body, headers=headers, timeout=min(self.timeout_s, remaining)
                     )
                     if resp.status_code in (429, 500, 502, 503, 504):
-                        last_error = BackendUnavailableError(
+                        last_error = BackendError(
                             f"HTTP {resp.status_code} from completion endpoint"
                         )
                     else:
@@ -171,11 +161,11 @@ class LiveBackend(TextBackend):
                 except requests.RequestException as exc:
                     last_error = exc
                 except (KeyError, IndexError, ValueError) as exc:
-                    raise BackendUnavailableError(f"malformed completion response: {exc}") from exc
+                    raise BackendError(f"malformed completion response: {exc}") from exc
                 backoff = min(2.0**attempt * 0.25, 2.0)
                 if attempt + 1 < self.retries and time.monotonic() + backoff < deadline:
                     time.sleep(backoff)
-        raise BackendUnavailableError(
+        raise BackendError(
             f"completion endpoint failed after {self.retries} attempts: {last_error}"
         )
 

@@ -157,8 +157,12 @@ class SemanticMap:
     # -- lookup helpers -------------------------------------------------
 
     def next_free_node_id(self) -> int:
-        used = set(self.nodes) | set(self.areas) | set(self.passages)
-        return max(used, default=0) + 1
+        """One more than every element id and every node id that an area ring
+        or a passage segment names, so a new node never fills a dangling
+        reference."""
+        rings = (nid for area in self.areas.values() for nid in area.ring)
+        segments = (nid for passage in self.passages.values() for nid in passage.segment)
+        return max(itertools.chain(self.nodes, self.areas, self.passages, rings, segments), default=0) + 1
 
     def resolve_area(self, ref: str | None) -> Area | None:
         """Resolve an area reference by id string, falling back to a unique name."""

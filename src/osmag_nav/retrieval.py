@@ -38,15 +38,8 @@ _NODE_LINE = re.compile(r'^\s*- node (\d+): (object|observed) "(.*)"\s*$')
 
 
 class PlanError(Exception):
-    pass
-
-
-class PlanParseError(PlanError):
-    """No JSON object could be extracted from the reply."""
-
-
-class PlanEmptyError(PlanError):
-    """JSON was found but no valid room survived validation."""
+    """No plan: the reply holds no JSON object, or no room in it survives
+    validation."""
 
 
 @dataclass(frozen=True)
@@ -217,16 +210,15 @@ def parse_plan(text: str, m: SemanticMap) -> RetrievalPlan:
 
     Rooms beyond 3 and nodes beyond 3 per room are clamped; fabricated ids,
     parent mismatches, and duplicates are dropped. Every drop is recorded for
-    audit. Raises :class:`PlanParseError`/:class:`PlanEmptyError` when nothing
-    usable remains.
+    audit. Raises :class:`PlanError` when nothing usable remains.
     """
     payload = extract_first_json_object(text)
     if payload is None:
-        raise PlanParseError("no JSON object found in reply")
+        raise PlanError("no JSON object found in reply")
 
     raw_rooms = payload.get("rooms")
     if not isinstance(raw_rooms, list):
-        raise PlanEmptyError("reply JSON has no 'rooms' list")
+        raise PlanError("reply JSON has no 'rooms' list")
 
     drops: list[str] = []
     rooms: list[PlanRoom] = []
@@ -283,7 +275,7 @@ def parse_plan(text: str, m: SemanticMap) -> RetrievalPlan:
         rooms.append(PlanRoom(area.id, node_ids))
 
     if not rooms:
-        raise PlanEmptyError("no valid rooms survived validation: " + "; ".join(drops[-3:]))
+        raise PlanError("no valid rooms survived validation: " + "; ".join(drops[-3:]))
     return RetrievalPlan(rooms=rooms, drops=drops)
 
 
@@ -342,7 +334,7 @@ def parse_prompt_map(user_text: str) -> tuple[list[_PromptArea], Query]:
         map_part = user_text.split(MAP_HEADER, 1)[1]
         map_text, query_part = map_part.split(QUERY_HEADER, 1)
     except (IndexError, ValueError) as exc:
-        raise PlanParseError("prompt does not contain the expected sections") from exc
+        raise PlanError("prompt does not contain the expected sections") from exc
 
     areas: list[_PromptArea] = []
     current: _PromptArea | None = None

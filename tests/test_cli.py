@@ -572,7 +572,6 @@ def test_eval_reproduces_demo_report(tmp_path, capsys):
     assert report_out.read_bytes() == (demo / "report.json").read_bytes()
     assert csv_out.read_bytes() == (demo / "report.csv").read_bytes()
 
-    assert main(["eval", records, "--map", enriched, "--csv", str(csv_out), "--dir-mode", "failed_only"]) == 0
     report = json.loads(report_out.read_text())
     blocks = {"all": report}
     blocks.update({f"category:{c}": b for c, b in report["by_category"].items()})
@@ -580,7 +579,7 @@ def test_eval_reproduces_demo_report(tmp_path, capsys):
     rows = list(csv.DictReader(csv_out.read_text().splitlines()))
     assert [row["slice"] for row in rows] == list(blocks)
     for row in rows:
-        assert row["DIR"] == f"{blocks[row['slice']]['dir']['failed_only']:.4f}"
+        assert row["DIR"] == f"{blocks[row['slice']]['dir']['all_queries']:.4f}"
 
     capsys.readouterr()
     assert main(["eval", records, "--apl-intersect", records, "--json"]) == 0

@@ -7,13 +7,12 @@ import pytest
 
 from oracles import bf_segment_blocks
 from osmag_nav.detection import (
-    DetectionConfigError,
     DetectionProfile,
     Proposal,
     detect_at_node,
     propose,
     verify,
-    visible_instances,
+    visible,
 )
 from osmag_nav.geometry import MetricPoint
 from osmag_nav.gridworld import Obstacle, ObjectInstance, SensorConfig, WorldModel
@@ -26,37 +25,37 @@ def _world(instances, obstacles=(), fov=120.0, range_m=5.0):
 
 
 def test_profile_validation():
-    with pytest.raises(DetectionConfigError):
+    with pytest.raises(ValueError, match=r"p_propose_tp=1.5 outside \[0, 1\]"):
         DetectionProfile(p_propose_tp=1.5)
-    with pytest.raises(DetectionConfigError):
+    with pytest.raises(ValueError, match="rotation_step_deg must divide 360"):
         DetectionProfile(rotation_step_deg=70)
 
 
 def test_visible_straight_ahead():
     world = _world([ObjectInstance("cup", MetricPoint(1.0, 0.0))])
-    assert visible_instances(world, (0.0, 0.0, 0.0)) == [0]
+    assert visible(world, (0.0, 0.0, 0.0), world.instances[0])
 
 
 def test_visible_blocked_by_wall():
     wall = Obstacle("segment", (0.5, -1.0, 0.5, 1.0))
     world = _world([ObjectInstance("cup", MetricPoint(1.0, 0.0))], [wall])
-    assert visible_instances(world, (0.0, 0.0, 0.0)) == []
+    assert not visible(world, (0.0, 0.0, 0.0), world.instances[0])
 
 
 def test_visible_range_cut():
     world = _world([ObjectInstance("cup", MetricPoint(5.1, 0.0))], range_m=5.0)
-    assert visible_instances(world, (0.0, 0.0, 0.0)) == []
+    assert not visible(world, (0.0, 0.0, 0.0), world.instances[0])
 
 
 def test_visible_fov_cut():
     world = _world([ObjectInstance("cup", MetricPoint(0.0, 2.0))], fov=60.0)
-    assert visible_instances(world, (0.0, 0.0, 0.0)) == []  # 90 deg off heading
-    assert visible_instances(world, (0.0, 0.0, 90.0)) == [0]
+    assert not visible(world, (0.0, 0.0, 0.0), world.instances[0])  # 90 deg off heading
+    assert visible(world, (0.0, 0.0, 90.0), world.instances[0])
 
 
 def test_visible_coincident_instance():
     world = _world([ObjectInstance("cup", MetricPoint(0.0, 0.0))])
-    assert visible_instances(world, (0.0, 0.0, 0.0)) == [0]
+    assert visible(world, (0.0, 0.0, 0.0), world.instances[0])
 
 
 def _sight_case(rng, kind):
@@ -83,7 +82,7 @@ def _sight_case(rng, kind):
 
 
 def test_line_of_sight_matches_segment_crossing_oracle():
-    # visible_instances blocks a sight line through the sensor's first-hit ray
+    # visible blocks a sight line through the sensor's first-hit ray
     # cast; the oracle is the segment-crossing test it replaced
     rng = np.random.default_rng(23)
     kinds = ("random", "axis", "integer", "empty", "zero")
@@ -96,20 +95,20 @@ def test_line_of_sight_matches_segment_crossing_oracle():
             SensorConfig(fov_deg=360.0, range_m=100.0, rays=1),
         )
         expected = bf_segment_blocks(p[0], p[1], q[0], q[1], world.segments)
-        assert visible_instances(world, (p[0], p[1], 0.0)) == ([] if expected else [0]), (trial, p, q, walls)
+        assert visible(world, (p[0], p[1], 0.0), world.instances[0]) == (not expected), (trial, p, q, walls)
         blocked += expected
     assert 500 < blocked < 3000
 
 
-@pytest.mark.parametrize("wall_x, visible", [(2.0, True), (2.0 - 1e-9, True), (2.0 - 1e-8, False)])
-def test_sight_line_stops_short_of_the_instance(wall_x, visible):
+@pytest.mark.parametrize("wall_x, seen", [(2.0, True), (2.0 - 1e-9, True), (2.0 - 1e-8, False)])
+def test_sight_line_stops_short_of_the_instance(wall_x, seen):
     # the sight line ends at the instance (t = 1); a wall there, or within
     # 1e-9 of the line's length before it, leaves the instance visible, and
     # a wall 5e-9 of the length before it blocks
     wall = Obstacle("segment", (wall_x, -1.0, wall_x, 1.0))
     world = _world([ObjectInstance("cup", MetricPoint(2.0, 0.0))], [wall])
-    assert visible_instances(world, (0.0, 0.0, 0.0)) == ([0] if visible else [])
-    assert bf_segment_blocks(0.0, 0.0, 2.0, 0.0, world.segments) == (not visible)
+    assert visible(world, (0.0, 0.0, 0.0), world.instances[0]) == seen
+    assert bf_segment_blocks(0.0, 0.0, 2.0, 0.0, world.segments) == (not seen)
 
 
 def test_propose_perfect_single_target():

@@ -258,13 +258,16 @@ def test_ingest_matches_oracle_containment(monkeypatch, buildings):
     assert maps_after_each_batch() == indexed
 
 
-def test_node_that_completes_an_area_ring_counts_for_later_records(monkeypatch):
-    # A ring may name a node the map lacks. The first node ingest adds takes
-    # that id and closes the ring, so the next record falls inside it.
-    m = mapgen.minimal_map()
-    m.areas[90] = Area(90, [1, 2, m.next_free_node_id()], {PARENT_KEY: "100"})
+def test_new_nodes_never_take_an_id_an_area_ring_names(monkeypatch):
+    # A ring may name a node the map lacks. New nodes count up past that id,
+    # so no record fills the hole, closes the ring or lands inside it.
+    m = mapgen.minimal_map()  # nodes 1-4, area 100
+    m.areas[90] = Area(90, [1, 2, 101], {PARENT_KEY: "100"})
+    assert [(v.element_id, v.rule) for v in validate(m)] == [(90, "dangling-node")]
     payload = {"instances": [{"label": "lamp", "x": 2.0, "y": 3.0}, {"label": "mug", "x": 2.0, "y": 1.0}]}
     out, _ = ingest(m, payload)
-    assert [n.tags[PARENT_KEY] for n in out.semantic_nodes()] == ["100", "90"]
+    assert [(n.id, n.tags[PARENT_KEY]) for n in out.semantic_nodes()] == [(102, "100"), (103, "100")]
+    assert out.areas[90].ring == [1, 2, 101] and 101 not in out.nodes
+    assert [(v.element_id, v.rule) for v in validate(out)] == [(90, "dangling-node")]
     monkeypatch.setattr(enrichment, "containing_area_metric", _oracle_containing_area_metric)
     assert serialize_osmag(ingest(m, payload)[0]) == serialize_osmag(out)

@@ -10,7 +10,6 @@ from osmag_nav.episode import EpisodeRecord
 from osmag_nav.evalkit import (
     CATEGORIES,
     EvalError,
-    QueryGenerationError,
     _categorize,
     _mapped_label_positions,
     amd,
@@ -177,10 +176,7 @@ def test_dir_failed_only_dominates_all_queries():
 
 
 def test_unknown_dir_mode_rejected():
-    report = compute_report([_rec([0.1])])
-    with pytest.raises(EvalError):
-        report_to_csv(report, "bogus")
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match="unknown dir mode 'bogus'"):
         dir_rate([_rec([0.1])], "bogus")
 
 
@@ -312,7 +308,7 @@ def test_generate_queries_unrealizable_category(enriched_map):
     from osmag_nav.gridworld import SensorConfig, WorldModel
 
     empty_world = WorldModel([], [], SensorConfig())
-    with pytest.raises(QueryGenerationError):
+    with pytest.raises(EvalError, match="category SO is unrealizable"):
         generate_queries(empty_world, enriched_map, "o", "SO")
 
 
@@ -362,7 +358,7 @@ def test_generate_queries_matches_categorize_label(enriched_map, demo_world):
                     or containing_area_metric(m, world.instances_of(label)[0][1].position, table) is not None
                 ]
                 if not wanted:
-                    with pytest.raises(QueryGenerationError):
+                    with pytest.raises(EvalError, match=f"category {category} is unrealizable"):
                         generate_queries(world, m, granularity, category)
                     continue
                 queries = generate_queries(world, m, granularity, category)

@@ -10,11 +10,8 @@ import pytest
 
 from osmag_nav.llm import (
     BackendError,
-    BackendUnavailableError,
     CompletionRequest,
-    CredentialError,
     LiveBackend,
-    MissingFixtureError,
     ScriptedBackend,
     complete,
     make_backend,
@@ -32,7 +29,7 @@ def test_scripted_replay():
 
 def test_scripted_unknown_prompt_fails_loudly():
     backend = ScriptedBackend({})
-    with pytest.raises(MissingFixtureError):
+    with pytest.raises(BackendError, match="no scripted reply for prompt hash"):
         complete(backend, CompletionRequest(system_text="s", user_text="u"))
 
 
@@ -121,7 +118,7 @@ def test_live_backend_rejects_bounds_itself(field, value):
 
 def test_live_backend_requires_credential(monkeypatch):
     monkeypatch.delenv("OSMAG_NAV_API_KEY", raising=False)
-    with pytest.raises(CredentialError):
+    with pytest.raises(BackendError, match="set OSMAG_NAV_API_KEY to use the live backend"):
         LiveBackend(endpoint="http://localhost:1", model="m")
 
 
@@ -201,7 +198,7 @@ def test_live_backend_bounded_by_timeout_times_retries(live_server, monkeypatch)
     monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
     backend = LiveBackend(endpoint=endpoint, model="m", timeout_s=0.4, retries=2)
     started = time.monotonic()
-    with pytest.raises(BackendUnavailableError):
+    with pytest.raises(BackendError, match="completion endpoint failed after 2 attempts"):
         complete(backend, CompletionRequest(system_text="s", user_text="u"))
     elapsed = time.monotonic() - started
     assert elapsed < 0.4 * 2 + 0.5  # timeout x retries plus slack
@@ -210,5 +207,5 @@ def test_live_backend_bounded_by_timeout_times_retries(live_server, monkeypatch)
 def test_live_backend_unreachable_endpoint(monkeypatch):
     monkeypatch.setenv("OSMAG_NAV_API_KEY", "sk-test")
     backend = LiveBackend(endpoint="http://127.0.0.1:9", model="m", timeout_s=0.2, retries=2)
-    with pytest.raises(BackendUnavailableError):
+    with pytest.raises(BackendError, match="completion endpoint failed after 2 attempts"):
         complete(backend, CompletionRequest(system_text="s", user_text="u"))

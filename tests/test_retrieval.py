@@ -12,9 +12,7 @@ from osmag_nav.retrieval import (
     MAP_HEADER,
     QUERY_HEADER,
     TASK_HEADER,
-    PlanEmptyError,
     PlanError,
-    PlanParseError,
     Query,
     build_prompt,
     extract_first_json_object,
@@ -243,12 +241,12 @@ def test_parse_plan_drops_wrong_room_node(enriched_map):
 
 
 def test_parse_plan_no_json(enriched_map):
-    with pytest.raises(PlanError):
+    with pytest.raises(PlanError, match="no JSON object found"):
         parse_plan("I could not find anything useful.", enriched_map)
 
 
 def test_parse_plan_zero_valid_rooms(enriched_map):
-    with pytest.raises(PlanEmptyError):
+    with pytest.raises(PlanError, match="no valid rooms survived validation"):
         parse_plan('{"rooms": [{"room_id": 999, "nodes": [1]}]}', enriched_map)
 
 
@@ -262,7 +260,7 @@ def test_reply_nested_past_the_recursion_limit_is_parse_error(enriched_map):
     # a plan after the deep object is not reached: the scan stops there
     deep = '{"rooms":' * 100_000 + "[]" + "}" * 100_000 + ' {"rooms": [{"room_id": 105}]}'
     assert extract_first_json_object(deep) is None
-    with pytest.raises(PlanParseError):
+    with pytest.raises(PlanError, match="no JSON object found"):
         parse_plan(deep, enriched_map)
 
 
