@@ -9,10 +9,10 @@ map is never touched, which is what keeps it valid long-term.
 from osmag_nav import navigate, plan_path, render_grid
 from osmag_nav.geometry import GeoPoint, MetricPoint, unproject
 from osmag_nav.gridworld import (
+    OCCUPIED,
     Obstacle,
     SensorConfig,
     WorldModel,
-    render_true_grid,
     walls_with_passage_gaps,
 )
 from osmag_nav.osmag import Area, MapNode, SemanticMap
@@ -40,8 +40,11 @@ print(f"reached: {out.reached}")
 print(f"replans after discovering the wall: {out.replans}")
 print(f"driven: {out.driven_length:.2f} m (straight line would be 8 m)")
 
-# compare with the best any planner could do knowing the wall upfront
-true_grid = render_true_grid(grid, world)
+# compare with the best any planner could do knowing the wall upfront: the
+# map grid with the wall's column of cells marked occupied
+true_grid = grid.copy()
+(wall_x, wall_y0), (_, wall_y1) = grid.cell_of(5.0, 2.0), grid.cell_of(5.0, 8.0)
+true_grid.cells[wall_y0 : wall_y1 + 1, wall_x] = OCCUPIED
 optimal = plan_path(true_grid, grid.cell_of(1.0, 5.0), grid.cell_of(9.0, 5.0))
 print(f"omniscient optimum: {optimal.length_m:.2f} m")
 print(f"online overhead: {out.driven_length - optimal.length_m:+.2f} m")

@@ -37,8 +37,9 @@ class DetectionProfile:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
-        if self.fp_rate < 0.0:
-            raise ValueError("fp_rate must be >= 0")
+        # the maximum bounds the loop that draws each view's spurious proposals
+        if not 0.0 <= self.fp_rate <= 100.0:
+            raise ValueError(f"fp_rate={self.fp_rate} outside [0, 100]")
         if self.rotation_step_deg <= 0 or 360 % self.rotation_step_deg != 0:
             raise ValueError("rotation_step_deg must divide 360")
 

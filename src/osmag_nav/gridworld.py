@@ -81,8 +81,7 @@ class OccupancyGrid:
 
     def to_pgm(self) -> str:
         """Plain PGM (P2): free 254, occupied 0. A grid holds no other state:
-        sensing only ever adds occupied cells, and the free cells
-        :func:`sense` reports are never applied to the grid."""
+        sensing only ever adds occupied cells."""
         shade = np.full(self.cells.shape, 254, dtype=np.int32)
         shade[self.cells == OCCUPIED] = 0
         lines = ["P2", f"{self.width} {self.height}", "255"]
@@ -136,8 +135,9 @@ class SensorConfig:
     rays: int = 61
 
     def __post_init__(self) -> None:
-        # the maxima bound what one sense call allocates: a cell walk per ray
-        # of range_m / resolution steps, and one array row per ray
+        # the maxima bound the work of one sense call: range_m sizes the
+        # square that culls the segments each ray is tested against, and rays
+        # is the row count of the ray x segment arrays
         if not (self.fov_deg > 0 and 0 < self.range_m <= 100 and 1 <= self.rays <= 3600):
             raise ValueError("sensor needs fov_deg > 0, 0 < range_m <= 100 and 1 <= rays <= 3600")
 
@@ -384,21 +384,6 @@ def inflate(grid: OccupancyGrid, radius_m: float) -> OccupancyGrid:
     return OccupancyGrid(grid.resolution, grid.origin, cells)
 
 
-def render_true_grid(map_grid: OccupancyGrid, world: WorldModel) -> OccupancyGrid:
-    """Map grid plus every world obstacle rasterized in: the omniscient grid
-    used by oracles and debugging, never by the robot."""
-    grid = map_grid.copy()
-    step = grid.resolution * 0.5
-    for x0, y0, x1, y1 in world.segments:
-        length = math.hypot(x1 - x0, y1 - y0)
-        n = max(2, int(math.ceil(length / step)) + 1)
-        for t in np.linspace(0.0, 1.0, n):
-            cell = grid.cell_of(x0 + (x1 - x0) * t, y0 + (y1 - y0) * t)
-            if grid.in_bounds(cell):
-                grid.cells[cell[1], cell[0]] = OCCUPIED
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # planning
 
@@ -534,11 +519,10 @@ def sense(
     """Cast the sensor's rays against world geometry from ``pose`` (x, y, heading).
 
     Returns (occupied_cells, free_cells). The first hit cell per ray is
-    occupied, listed once in ray order; the other cells the rays cross before
-    their hits are free, in row-major order. The free list is reported but
-    never applied to a grid: :func:`apply_sense_updates` takes the occupied
-    cells only. Purely geometric: the grid is consulted only for
-    bounds/indexing.
+    occupied, listed once in ray order. The free list is always empty: the
+    robot only ever applies occupied cells (:func:`apply_sense_updates`), and
+    the pair stays because ``perfbench/tracing.py`` counts ``len(result[1])``.
+    Purely geometric: the grid is consulted only for bounds/indexing.
     """
     x, y, heading = pose
     sensor = world.sensor
@@ -566,33 +550,7 @@ def sense(
     cx, cy = cx[ok], cy[ok]
     first = np.unique(cy * w + cx, return_index=True)[1]
     first.sort()
-    occ_x, occ_y = cx[first], cy[first]
-    occupied = list(zip(occ_x.tolist(), occ_y.tolist()))
-
-    # free confirmations: sample each ray at half-resolution up to its hit
-    step = res * 0.5
-    reach = np.where(finite, hits, sensor.range_m) - 1e-9
-    max_n = int(sensor.range_m / step) + 1
-    ts = np.arange(1, max_n + 1) * step
-    valid = ts[None, :] < reach[:, None]
-    px = x + dirs[:, 0:1] * ts[None, :]
-    py = y + dirs[:, 1:2] * ts[None, :]
-    cx = np.floor((px - ox) / res).astype(np.int64)
-    cy = np.floor((py - oy) / res).astype(np.int64)
-    ok = valid & (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-    cx, cy = cx[ok], cy[ok]
-    if cx.size == 0:
-        return occupied, []
-    # mark the samples in a window spanning them; its row-major order is the grid's
-    x0, y0 = cx.min(), cy.min()
-    window = np.zeros((cy.max() - y0 + 1, cx.max() - x0 + 1), dtype=bool)
-    window[cy - y0, cx - x0] = True
-    span_y, span_x = window.shape
-    inside = (occ_x >= x0) & (occ_x < x0 + span_x) & (occ_y >= y0) & (occ_y < y0 + span_y)
-    window[occ_y[inside] - y0, occ_x[inside] - x0] = False
-    idx = np.flatnonzero(window)
-    free = list(zip((idx % span_x + x0).tolist(), (idx // span_x + y0).tolist()))
-    return occupied, free
+    return list(zip(cx[first].tolist(), cy[first].tolist())), []
 
 
 def apply_sense_updates(grid: OccupancyGrid, occupied: list[Cell]) -> list[Cell]:

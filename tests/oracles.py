@@ -12,7 +12,8 @@ ray cast, a test of every area's ring instead of the indexed area table,
 Bresenham's stepping loop cell by cell instead of the closed-form wall raster,
 a disk stamped around each occupied cell instead of shifted-slice dilation,
 and A* over a 2-D numpy grid with per-move bounds tests instead of the
-framed flat grid.
+framed flat grid. ``render_true_grid``, the omniscient grid with every world
+obstacle drawn in, is here because only tests plan on it.
 Keep these free of imports from the package's corresponding modules'
 internals.
 """
@@ -326,7 +327,8 @@ def _bf_ray_hits(origin_xy, dirs: np.ndarray, segments: np.ndarray, max_range: f
 
 def bf_sense(world, pose, grid):
     """``sense`` as it was before range culling: every ray against every world
-    segment, occupied and free cells deduplicated through a Python set."""
+    segment, occupied cells deduplicated through a Python set. Like ``sense``,
+    it reports no free cells."""
     x, y, heading = pose
     sensor = world.sensor
     dirs = _bf_ray_directions(heading, sensor)
@@ -350,25 +352,22 @@ def bf_sense(world, pose, grid):
             if cell not in occupied_set:
                 occupied_set.add(cell)
                 occupied.append(cell)
+    return occupied, []
 
-    # free confirmations: sample each ray at half-resolution up to its hit
-    step = res * 0.5
-    reach = np.where(finite, hits, sensor.range_m) - 1e-9
-    max_n = int(sensor.range_m / step) + 1
-    ts = np.arange(1, max_n + 1) * step
-    valid = ts[None, :] < reach[:, None]
-    px = x + dirs[:, 0:1] * ts[None, :]
-    py = y + dirs[:, 1:2] * ts[None, :]
-    cx = np.floor((px - ox) / res).astype(np.int64)
-    cy = np.floor((py - oy) / res).astype(np.int64)
-    ok = valid & (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-    flat = np.unique(cy[ok] * w + cx[ok])
-    free = []
-    for f in flat:
-        cell = (int(f % w), int(f // w))
-        if cell not in occupied_set:
-            free.append(cell)
-    return occupied, free
+
+def render_true_grid(map_grid, world):
+    """Map grid plus every world obstacle rasterized in: the omniscient grid
+    that tests plan on, which the robot never sees."""
+    grid = map_grid.copy()
+    step = grid.resolution * 0.5
+    for x0, y0, x1, y1 in world.segments:
+        length = math.hypot(x1 - x0, y1 - y0)
+        n = max(2, int(math.ceil(length / step)) + 1)
+        for t in np.linspace(0.0, 1.0, n):
+            cell = grid.cell_of(x0 + (x1 - x0) * t, y0 + (y1 - y0) * t)
+            if grid.in_bounds(cell):
+                grid.cells[cell[1], cell[0]] = OCCUPIED
+    return grid
 
 
 def bf_segment_blocks(

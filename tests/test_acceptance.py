@@ -5,6 +5,7 @@ pass/fail line per criterion.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -41,7 +42,6 @@ from osmag_nav.gridworld import (
     navigate,
     plan_path,
     render_grid,
-    render_true_grid,
     walls_with_passage_gaps,
 )
 from osmag_nav.osmag import (
@@ -118,7 +118,7 @@ def test_c03_replanning_soundness():
     a, b = outcomes
     assert a.reached, "robot must reach the goal around the unmapped wall"
     assert a.replans >= 1, "discovering the wall must trigger replanning"
-    true_grid = render_true_grid(grid, world)
+    true_grid = oracles.render_true_grid(grid, world)
     for x, y, _ in a.driven_path:
         assert true_grid.at(true_grid.cell_of(x, y)) != OCCUPIED, "entered an occupied cell"
     optimal = oracles.dijkstra_cost(
@@ -291,7 +291,10 @@ def test_c10_demo_determinism_across_runs_and_jobs(tmp_path, capsys):
 
 def test_c10_demo_bytes_independent_of_hash_seed(tmp_path):
     """The configuration speed-ups cite for unchanged outputs, run in two fresh
-    interpreters: --jobs 1 with hash seed 0 against --jobs 2 with hash seed 5."""
+    interpreters: --jobs 1 with hash seed 0 against --jobs 2 with hash seed 5.
+    Both runs must also match the sha256 sums pinned in demo_bytes.sha256, so
+    a change that alters the demo's bytes fails here; one that means to
+    updates that file and says what behaviour changed."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(osmag_nav.__file__)))
     for name, jobs, hash_seed in (("a", "1", "0"), ("b", "2", "5")):
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
@@ -300,5 +303,9 @@ def test_c10_demo_bytes_independent_of_hash_seed(tmp_path):
              "--granularities", "o,or,orf", "--jobs", jobs],
             env=env, check=True, stdout=subprocess.DEVNULL, timeout=300,
         )
-    for name in ("records.jsonl", "report.json", "report.csv", "fixture_enriched.osm"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    with open(os.path.join(os.path.dirname(__file__), "demo_bytes.sha256"), encoding="utf-8") as fh:
+        pinned = {name: digest for digest, name in (line.split() for line in fh)}
+    assert set(pinned) == {"records.jsonl", "report.json", "report.csv", "fixture_enriched.osm"}
+    for name, digest in pinned.items():
+        for run in ("a", "b"):
+            assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, (run, name)

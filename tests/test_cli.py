@@ -338,6 +338,27 @@ def test_simulate_oversized_sensor_is_config_error(tmp_path, capsys, sensor):
     assert not records_out.exists()
 
 
+@pytest.mark.parametrize("fp_rate", [1e308, 10**30, 101], ids=["1e308", "10**30", "101"])
+def test_simulate_oversized_fp_rate_is_config_error(tmp_path, capsys, fp_rate):
+    # refused when the config is read, before any Poisson draw uses it
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    (tmp_path / "world.json").write_text(json.dumps(five_room_world().to_dict()), encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json"})
+    config["profile"]["fp_rate"] = fp_rate
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    records_out = tmp_path / "records.jsonl"
+    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'profile'" in err and "fp_rate" in err and "Traceback" not in err
+    assert not records_out.exists()
+
+
 @pytest.mark.parametrize(
     "start, shown",
     [({"x": 0, "y": 0}, "(0, 0)"), ({"x": 1000, "y": 0}, "(1000, 0)"), ({"x": 1e308, "y": 0}, "(1e+308, 0)")],

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import dijkstra_cost
+from oracles import dijkstra_cost, render_true_grid
 from osmag_nav.detection import DetectionProfile
 from osmag_nav.episode import EpisodeConfig, EpisodeRecord, read_records, run_episode, write_records
-from osmag_nav.gridworld import inflate, render_grid, render_true_grid
+from osmag_nav.gridworld import inflate, render_grid
 from osmag_nav.llm import TextBackend
 from osmag_nav.retrieval import Query
 

@@ -12,7 +12,17 @@ import pytest
 
 import mapgen
 import osmag_nav
-from oracles import bf_clear_halo, bf_dilate, bf_plan_path, bf_render_grid, bf_sense, bresenham, dijkstra_cost, ray_rect_hit
+from oracles import (
+    bf_clear_halo,
+    bf_dilate,
+    bf_plan_path,
+    bf_render_grid,
+    bf_sense,
+    bresenham,
+    dijkstra_cost,
+    ray_rect_hit,
+    render_true_grid,
+)
 from osmag_nav import gridworld
 from osmag_nav.fixtures import five_room_map
 from osmag_nav.geometry import MetricPoint
@@ -30,7 +40,6 @@ from osmag_nav.gridworld import (
     navigate,
     plan_path,
     render_grid,
-    render_true_grid,
     sense,
     walls_with_passage_gaps,
 )
@@ -385,7 +394,7 @@ def test_sense_empty_world_no_occupied():
     grid = _empty_grid(100, 100, 0.1)
     occupied, free = sense(world, (5.0, 5.0, 0.0), grid)
     assert occupied == []
-    assert len(free) > 0
+    assert free == []
 
 
 def test_sense_box_ahead_marks_near_face():
@@ -476,7 +485,7 @@ def _oracle_case(rng, sensor, px, py):
 
 def test_sense_matches_oracle():
     # the range-culled, array-built sense equals the all-segments, per-cell
-    # oracle, order included
+    # oracle, order and the empty free list included
     rng = np.random.default_rng(11)
     grid = _empty_grid(100, 80, 0.1)  # 10 m x 8 m
     sensors = [
