@@ -24,7 +24,7 @@ from .evalkit import (
     run_experiment,
 )
 from .episode import EpisodeError, read_records, write_records
-from .fields import ConfigError, Fields, read_text
+from .fields import ConfigError, parse, read_text
 from .geometry import GeometryError
 from .gridworld import DEFAULT_RESOLUTION_M, render_grid
 from .llm import BACKEND_KINDS, BackendError, make_backend
@@ -81,7 +81,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_enrich(args: argparse.Namespace) -> int:
     mapping = parse_osmag(read_text(args.map))
-    records = Fields(args.records, EnrichmentError).parse(read_text(args.records))
+    records = parse(read_text(args.records), args.records, EnrichmentError)
     enriched, report = ingest(mapping, records)
     _write_text(args.output, serialize_osmag(enriched))
     payload = {
@@ -131,7 +131,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = Fields(args.config, EvalError).parse(read_text(args.config))
+    config = parse(read_text(args.config), args.config, EvalError)
     if args.seed is not None and isinstance(config, dict):  # run_experiment refuses the rest
         config["master_seed"] = args.seed
     records, report = run_experiment(

@@ -12,10 +12,11 @@ proposal, verifier confusion, spurious accept) is reproducible on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .fields import check
 from .gridworld import ObjectInstance, WorldModel, _ray_hits
 
 
@@ -33,14 +34,8 @@ class DetectionProfile:
     rotation_step_deg: int = 90
 
     def __post_init__(self) -> None:
-        for name in ("p_propose_tp", "p_verify_tp", "p_verify_fp"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-        # the maximum bounds the loop that draws each view's spurious proposals
-        if not 0.0 <= self.fp_rate <= 100.0:
-            raise ValueError(f"fp_rate={self.fp_rate} outside [0, 100]")
-        if self.rotation_step_deg <= 0 or 360 % self.rotation_step_deg != 0:
+        check(asdict(self), "profile.schema.json", "profile", ValueError)
+        if 360 % self.rotation_step_deg != 0:
             raise ValueError("rotation_step_deg must divide 360")
 
 

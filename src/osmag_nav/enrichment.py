@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fields import Fields
+from .fields import build, check
 from .geometry import MAX_SUPPORTED_LAT, GeometryError, MetricPoint
 from .osmag import (
     DESCRIPTION_KEY,
@@ -56,10 +56,6 @@ class ViewpointRecord:
     capture_pose: MetricPoint
     heading_deg: float
     observed: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.observed:
-            raise EnrichmentError("viewpoint record needs a non-empty observed list")
 
 
 @dataclass(frozen=True)
@@ -143,29 +139,20 @@ def parse_records(payload: dict) -> tuple[
     """Check and materialize a records payload, before any mutation; a value
     its schema forbids raises :class:`EnrichmentError` naming the record and
     the field."""
-    sections = Fields("records", EnrichmentError)
-    sections.object(payload, "", allowed=("instances", "viewpoints", "room_descriptions"))
-
-    def items(section: str, kind: str, required: tuple, optional: tuple = ()):
-        for i, item in enumerate(sections.array(payload.get(section, []), section)):
-            f = Fields(f"bad {kind} record #{i}", EnrichmentError)
-            yield f, f.object(item, "", required, required + optional)
-
+    check(payload, "records.schema.json", "records", EnrichmentError)
     instances = [
-        f.build(InstanceRecord, "", label=f.typed(str, item["label"], "label"), centroid=MetricPoint(*f.xy(item, "")),
-                source=f.typed(str, item.get("source", ""), "source"))
-        for f, item in items("instances", "instance", ("label", "x", "y"), ("source",))
+        build(InstanceRecord, "records", EnrichmentError, f"instances[{i}]", label=item["label"],
+              centroid=MetricPoint(float(item["x"]), float(item["y"])), source=item.get("source", ""))
+        for i, item in enumerate(payload.get("instances", []))
     ]
     viewpoints = [
-        f.build(ViewpointRecord, "", capture_pose=MetricPoint(*f.xy(item, "")),
-                heading_deg=f.number(item.get("heading_deg", 0.0), "heading_deg"),
-                observed=tuple(f.typed(list[str], item["observed"], "observed")))
-        for f, item in items("viewpoints", "viewpoint", ("x", "y", "observed"), ("heading_deg",))
+        ViewpointRecord(MetricPoint(float(item["x"]), float(item["y"])), float(item.get("heading_deg", 0.0)),
+                        tuple(item["observed"]))
+        for item in payload.get("viewpoints", [])
     ]
     descriptions = [
-        RoomDescriptionRecord(f.integer(item["area_id"], "area_id"),
-                              tuple(f.typed(list[str], item["descriptions"], "descriptions")))
-        for f, item in items("room_descriptions", "room description", ("area_id", "descriptions"))
+        RoomDescriptionRecord(item["area_id"], tuple(item["descriptions"]))
+        for item in payload.get("room_descriptions", [])
     ]
     return instances, viewpoints, descriptions
 

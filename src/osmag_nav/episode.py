@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import TypedDict
 
 import numpy as np
 
 from .detection import DetectionOutcome, DetectionProfile, detect_at_node
-from .fields import Fields, read_text
+from .fields import check, parse, read_text
 from .geometry import MetricPoint, point_in_ring
 from .gridworld import DEFAULT_RESOLUTION_M, NoPathError, WorldModel, navigate, render_grid
 from .llm import BackendError, TextBackend
@@ -45,14 +44,6 @@ class EpisodeConfig:
     category: str | None = None  # SO / RO / UO annotation, carried into the record
 
 
-class PlanNode(TypedDict):
-    node_id: int
-    room_id: int
-    x: float
-    y: float
-    distance_to_gt: float | None  # None when the world holds no ground-truth instance
-
-
 @dataclass
 class VisitRecord:
     node_id: int
@@ -75,7 +66,7 @@ class EpisodeRecord:
     seed: int
     plan_rooms: list[dict] = field(default_factory=list)
     plan_drops: list[str] = field(default_factory=list)
-    plan_nodes: list[PlanNode] = field(default_factory=list)
+    plan_nodes: list[dict] = field(default_factory=list)
     rank1_room_id: int | None = None
     rank1_room_contains_gt: bool = False
     visits: list[VisitRecord] = field(default_factory=list)
@@ -100,14 +91,20 @@ def write_records(records: list[EpisodeRecord], path: str) -> None:
 
 
 def read_records(path: str) -> list[EpisodeRecord]:
-    """Records of a JSON-lines file, each built from the fields of
-    :class:`EpisodeRecord`; a line that breaks them raises
-    :class:`EpisodeError` naming the file, the line and the field."""
+    """Records of a JSON-lines file, each checked against the episode-record
+    schema; a line that breaks it raises :class:`EpisodeError` naming the
+    file, the line and the field. A key left out takes its field's default,
+    or None when the field has none."""
     out = []
     for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if line.strip():
-            f = Fields(f"{path} line {lineno}: malformed episode record", EpisodeError)
-            out.append(f.dataclass(EpisodeRecord, f.parse(line)))
+            source = f"{path} line {lineno}: malformed episode record"
+            doc = parse(line, source, EpisodeError)
+            check(doc, "episode_record.schema.json", source, EpisodeError)
+            visits = [VisitRecord(**{**visit, "detection": visit.get("detection") and DetectionOutcome(
+                **{"matched_instance": None, **visit["detection"]})}) for visit in doc.get("visits", [])]
+            out.append(EpisodeRecord(**{"query_room": None, "query_floor": None, "category": None, **doc,
+                                        "visits": visits}))
     return out
 
 

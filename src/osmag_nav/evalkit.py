@@ -28,11 +28,11 @@ import numpy as np
 from .detection import DetectionProfile
 from .episode import EpisodeConfig, EpisodeRecord, run_episode
 from .geometry import MetricPoint
-from .fields import Fields, read_text
+from .fields import build, check, read_text
 from .gridworld import DEFAULT_RESOLUTION_M, FREE, INFLATION_M, WorldModel, inflate, normalize_label, render_grid
 from .llm import make_backend
 from .osmag import AreaTable, SemanticMap, containing_area_metric, map_size_bytes, parse_osmag
-from .retrieval import MAP_MODES, Query
+from .retrieval import Query
 
 SO = "SO"
 RO = "RO"
@@ -359,38 +359,13 @@ def sample_starts(
     return starts
 
 
-_CONFIG_KEYS = ("map", "world", "map_mode", "grid_resolution_m", "backend", "profile", "queries", "generate",
-                "starts", "master_seed")
-
-
-def _read_queries(f: Fields, config: dict) -> tuple[list[tuple[Query, str | None]], list[tuple[str, str]]]:
-    """The explicit queries with their categories, and the (category,
-    granularity) suites to generate."""
-    queries, suites = [], []
-    for i, item in enumerate(f.array(config.get("queries", []), "queries")):
-        p = f"queries[{i}]"
-        f.object(item, p, required=("object",), allowed=("object", "room", "floor", "category"))
-        room, floor = (f.typed(str | None, item.get(key), f"{p}.{key}") for key in ("room", "floor"))
-        query = f.build(Query, p, object=f.typed(str, item["object"], p + ".object"), room=room, floor=floor)
-        queries.append((query, f.choice(item.get("category"), p + ".category", (*CATEGORIES, None))))
-    for i, item in enumerate(f.array(config.get("generate", []), "generate")):
-        p = f"generate[{i}]"
-        f.object(item, p, allowed=("category", "granularity"))
-        category = f.choice(item.get("category", SO), p + ".category", CATEGORIES)
-        suites.append((category, f.choice(item.get("granularity", "o"), p + ".granularity", GRANULARITIES)))
-    if not queries and not suites:
-        raise EvalError("experiment config defines no queries")
-    return queries, suites
-
-
 def load_experiment_inputs(config: dict, base_dir: str = ".") -> tuple[SemanticMap, WorldModel]:
-    """The map and the world an experiment config names, relative paths
-    resolved against ``base_dir``."""
-    f = Fields("experiment config", EvalError)
-    paths = {key: os.path.join(base_dir, f.typed(str, config.get(key), key)) for key in ("map", "world")}
+    """The map and the world a checked experiment config names, relative
+    paths resolved against ``base_dir``."""
+    paths = {key: os.path.join(base_dir, config[key]) for key in ("map", "world")}
     for key, path in paths.items():
         if not os.path.isfile(path):
-            f.fail(key, f"names no file: {path}")
+            raise EvalError(f"experiment config: field '{key}' names no file: {path}")
     return parse_osmag(read_text(paths["map"])), WorldModel.from_file(paths["world"])
 
 
@@ -401,27 +376,32 @@ def run_experiment(
 ) -> tuple[list[EpisodeRecord], MetricsReport]:
     """Run every (query x start) episode deterministically and aggregate.
 
-    Every field of ``config`` is checked against the experiment schema before
-    the map and world are read; a violation raises :class:`EvalError` (or
-    :class:`BackendError` for the backend) naming the field.
+    The whole of ``config`` is checked against the experiment schema before
+    the map and world are read; a violation raises :class:`EvalError` naming
+    the field (a bad scripted fixtures file raises :class:`BackendError`).
 
     Identical (config, master_seed) produce byte-identical record streams, for
     any ``jobs`` value: parallel workers only change wall-clock order, results
     are collected by episode index.
     """
-    f = Fields("experiment config", EvalError)
-    f.object(config, "", required=("map", "world"), allowed=_CONFIG_KEYS)
-    master_seed = f.integer(config.get("master_seed", 0), "master_seed", minimum=0)
-    resolution = f.number(config.get("grid_resolution_m", DEFAULT_RESOLUTION_M), "grid_resolution_m", above=0)
-    start_count = f.integer(config.get("starts", 1), "starts", minimum=1)
-    profile = f.dataclass(DetectionProfile, config.get("profile", {}), "profile")
-    map_mode = f.choice(config.get("map_mode", "full"), "map_mode", MAP_MODES)
-    queries, suites = _read_queries(f, config)
+    source = "experiment config"
+    check(config, "experiment.schema.json", source, EvalError)
+    master_seed = config.get("master_seed", 0)
+    resolution = float(config.get("grid_resolution_m", DEFAULT_RESOLUTION_M))
+    profile = build(DetectionProfile, source, EvalError, "profile", **config.get("profile", {}))
+    queries = [
+        (build(Query, source, EvalError, f"queries[{i}]", object=item["object"], room=item.get("room"),
+               floor=item.get("floor")), item.get("category"))
+        for i, item in enumerate(config.get("queries", []))
+    ]
+    suites = [(item.get("category", SO), item.get("granularity", "o")) for item in config.get("generate", [])]
+    if not queries and not suites:
+        raise EvalError("experiment config defines no queries")
     backend = make_backend(config.get("backend", {"kind": "heuristic"}), base_dir)
     m, world = load_experiment_inputs(config, base_dir)
 
     queries += [(q, category) for category, gran in suites for q in generate_queries(world, m, gran, category)]
-    starts = sample_starts(m, world, start_count, master_seed, resolution)
+    starts = sample_starts(m, world, config.get("starts", 1), master_seed, resolution)
 
     episode_configs: list[EpisodeConfig] = []
     index = 0
@@ -435,7 +415,7 @@ def run_experiment(
                     backend=backend,
                     profile=profile,
                     seed=_episode_seed(master_seed, index),
-                    map_mode=map_mode,
+                    map_mode=config.get("map_mode", "full"),
                     grid_resolution_m=resolution,
                     start=start,
                     category=category,

@@ -1,19 +1,34 @@
-"""The one field checker behind every JSON input loader.
+"""The one rule book for JSON inputs: the schemas in ``schemas/`` and the
+walker that checks a document against one of them.
 
-Each loader sits beside the type it builds and reads its document through a
-:class:`Fields`, which checks every value as it reads it. A value the schema
-forbids raises the loader's typed error, naming the source (a file, or
-"experiment config") and the field path, for example ``instances[3].x``.
+Each loader parses its document, checks the whole of it once with
+:func:`check` and then reads it with plain indexing. A violation raises the
+loader's typed error naming the source and the innermost field, for example
+``experiment config: field 'queries[0].object' must be a string, got 5``.
+The walker applies exactly :data:`KEYWORDS`, a little more strictly than JSON
+Schema: a number is finite and fits a float, an integer is a JSON integer
+(``2.0`` is not), and ``true`` or ``false`` is neither. Each schema compiles
+once into closures; a field path is built only as a failure unwinds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
-import types
-import typing
+import sys
+from importlib import resources
+
+SCHEMAS = resources.files(__package__).joinpath("schemas")
+KEYWORDS = frozenset({"type", "enum", "const", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+                      "minLength", "minItems", "maxItems", "items", "required", "properties",
+                      "additionalProperties", "$ref", "$defs", "anyOf", "oneOf"})
+_NOT_TYPED = {"$schema", "title", "description", "$ref", "$defs", "anyOf", "oneOf"}
+_TYPES = {  # each JSON type's Python types, and how a message names it
+    "object": ((dict,), "an object"), "array": ((list,), "an array"), "string": ((str,), "a string"),
+    "integer": ((int,), "an integer"), "number": ((int, float), "a finite number"),
+    "boolean": ((bool,), "true or false"), "null": ((type(None),), "null"),
+}
 
 
 class ConfigError(ValueError):
@@ -30,133 +45,155 @@ def read_text(path: str) -> str:
         raise ConfigError(f"{path}: is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+def parse(text: str, source: str, error: type[Exception] = ConfigError):
+    """The JSON document ``text``; text that is not JSON raises ``error``
+    naming ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{source}: is not JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{source}: is JSON nested too deeply to read") from None
+
+
+def check(doc, schema: str, source: str, error: type[Exception] = ConfigError) -> None:
+    """Check ``doc`` against ``schema``: a file in ``schemas/``, optionally
+    with a JSON pointer (``experiment.schema.json#/properties/backend``). The
+    first violation raises ``error`` naming ``source`` and the field."""
+    try:
+        _compiled(schema)(doc)
+    except _Invalid as exc:
+        path = ""
+        for key in reversed(exc.path):
+            path += f"[{key}]" if type(key) is int else f".{key}" if path else key
+        raise error(f"{source}: " + (f"field '{path}' " if path else "") + exc.problem) from None
+
+
+def build(cls, source: str, error: type[Exception], path: str, /, **kwargs):
+    """``cls(**kwargs)``; a value the constructor refuses raises ``error``
+    naming ``source`` and the field ``path``."""
+    try:
+        return cls(**kwargs)
+    except (ValueError, error) as exc:
+        raise error(f"{source}: field '{path}' is invalid: {exc}") from None
+
+
+class _Invalid(Exception):
+    """``problem`` at ``path``, innermost key first; ``choices`` is set when
+    the ``value`` is merely not one that a ``const`` or ``enum`` allows."""
+
+    def __init__(self, problem: str, choices=(), value=None, path=()):
+        self.problem, self.choices, self.value, self.path = problem, choices, value, list(path)
+
+
+def _want(wanted: str, value, choices=(), path=()) -> _Invalid:
+    got = repr(value)
+    return _Invalid(f"must be {wanted}, got {got if len(got) <= 40 else got[:37] + '...'}", choices, value, path)
 
 
 @functools.cache
-def _hints(cls) -> dict:
-    return typing.get_type_hints(cls)
+def _compiled(ref: str):
+    """The check of ``ref``: a schema file, with an optional ``#/...`` pointer into it."""
+    name, _, pointer = ref.partition("#")
+    node = json.loads(SCHEMAS.joinpath(name).read_text(encoding="utf-8"))
+    for part in pointer.split("/")[1:]:
+        node = node[int(part)] if type(node) is list else node[part]
+    return _compile(node, name)
 
 
-class Fields:
-    """Checked reads from one JSON document, failing with ``error``."""
+def _compile(s: dict, name: str):
+    """A function that raises :class:`_Invalid` for a value ``s`` refuses. It
+    descends only where ``s`` has a sub-schema."""
+    checks = []
+    if "$ref" in s:
+        checks.append(_compiled(name + s["$ref"] if s["$ref"].startswith("#") else s["$ref"]))
+    if s.keys() - _NOT_TYPED or not checks and not s.keys() & {"anyOf", "oneOf"}:
+        checks.append(_typed(s, name))
+    for key in ("anyOf", "oneOf"):
+        if key in s:
+            checks.append(_alternatives([_compile(branch, name) for branch in s[key]], key == "oneOf"))
+    # every check in turn; in the shipped schemas a node has one
+    return checks[0] if len(checks) == 1 else lambda v: all(check(v) is None for check in checks)
 
-    def __init__(self, source: str, error: type[Exception] = ConfigError):
-        self.source = source
-        self.error = error
 
-    def fail(self, path: str, problem: str):
-        raise self.error(f"{self.source}: " + (f"field '{path}' " if path else "") + problem)
+def _typed(s: dict, name: str):
+    """The ``type`` check, with the keywords that apply to one type each."""
+    kinds = [s["type"]] if type(s.get("type")) is str else s.get("type", list(_TYPES))
+    lo, hi = s.get("minimum", -math.inf), s.get("maximum", math.inf)
+    above, below = s.get("exclusiveMinimum", -math.inf), s.get("exclusiveMaximum", math.inf)
+    fewest, most = s.get("minItems", -math.inf), s.get("maxItems", math.inf)
+    bounds = " and ".join(f"{op} {b:g}" for op, b in ((">=", lo), (">", above), ("<=", hi), ("<", below))
+                          if math.isfinite(b))
+    length = f"{fewest}" if fewest == most else " and ".join(
+        f"{op} {b}" for op, b in ((">=", fewest), ("<=", most)) if math.isfinite(b))
+    details = {"number": bounds and " " + bounds, "integer": bounds and " " + bounds,
+               "string": f" of length >= {s['minLength']}" if "minLength" in s else "",
+               "array": length and " of length " + length}
+    wanted = " or ".join(_TYPES[kind][1] + details.get(kind, "") for kind in kinds)
+    choices = s.get("enum", [s["const"]] if "const" in s else None)
+    one_of = f"one of {tuple(choices)!r}" if "enum" in s else repr(s.get("const"))
+    if "integer" not in kinds:  # a number, unlike an integer, must fit a float
+        lo, hi = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+    pys, shortest = frozenset(py for kind in kinds for py in _TYPES[kind][0]), s.get("minLength", 0)
+    items = _compile(s["items"], name) if "items" in s else None
+    props = [(key, _compile(sub, name)) for key, sub in s.get("properties", {}).items()]
+    known, required = frozenset(s.get("properties", ())), s.get("required", ())
+    extra = s.get("additionalProperties", True)
+    extra = extra if type(extra) is bool else _compile(extra, name)
 
-    def _want(self, path: str, wanted: str, value):
-        got = repr(value)
-        self.fail(path, f"must be {wanted}, got {got if len(got) <= 40 else got[:37] + '...'}")
-
-    def parse(self, text: str):
+    def node(v):
+        t = type(v)
+        if choices is not None and v not in choices:
+            raise _want(one_of, v, choices)
+        if t not in pys or (
+            not (lo <= v <= hi and above < v < below) if t is int or t is float  # also false for NaN and inf
+            else not fewest <= len(v) <= most if t is list else t is str and len(v) < shortest
+        ):
+            raise _want(wanted, v)
         try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            self.fail("", f"is not JSON: {exc}")
-        except RecursionError:
-            self.fail("", "is JSON nested too deeply to read")
+            if t is dict:  # properties before required keys: a oneOf branch whose const fails is set aside
+                for key, check in props:
+                    if key in v:
+                        check(v[key])
+                for key in required:
+                    if key not in v:
+                        raise _Invalid("is missing")
+                for key in () if extra is True or known.issuperset(v) else v:
+                    if key not in known:
+                        if extra is False:
+                            raise _Invalid("is not a known field")
+                        extra(v[key])
+            elif t is list and items:
+                for key, item in enumerate(v):
+                    items(item)
+        except _Invalid as exc:
+            exc.path.append(key)
+            raise
 
-    def object(self, value, path: str, required=(), allowed=None) -> dict:
-        """``value`` as a JSON object with every key in ``required`` and,
-        unless ``allowed`` is None, no key outside ``allowed``."""
-        if type(value) is not dict:
-            self._want(path, "an object", value)
-        for key in required:
-            if key not in value:
-                self.fail(_join(path, key), "is missing")
-        for key in value if allowed is not None else ():
-            if key not in allowed:
-                self.fail(_join(path, key), "is not a known field")
-        return value
+    return node
 
-    def array(self, value, path: str, length: int | None = None) -> list:
-        if type(value) is not list or length not in (None, len(value)):
-            self._want(path, "an array" + (f" of {length} items" if length else ""), value)
-        return value
 
-    def choice(self, value, path: str, choices: tuple):
-        if value not in choices:
-            self._want(path, f"one of {choices}", value)
-        return value
+def _alternatives(branches: list, exactly_one: bool):
+    """``anyOf``, or ``oneOf`` when ``exactly_one``. When every branch fails,
+    the deepest failure is raised, one that is not merely a value outside a
+    ``const`` or ``enum`` first; if there is none, with every value allowed."""
 
-    def integer(self, value, path: str, minimum: int | None = None) -> int:
-        if type(value) is not int or (minimum is not None and value < minimum):
-            self._want(path, "an integer" + (f" >= {minimum}" if minimum is not None else ""), value)
-        return value
+    def alternatives(v):
+        errors = []
+        for branch in branches:
+            try:
+                branch(v)
+            except _Invalid as exc:
+                errors.append(exc)
+        passed = len(branches) - len(errors)
+        if passed == 1 or passed and not exactly_one:
+            return
+        if passed:
+            raise _Invalid(f"must match one alternative only, matches {passed}")
+        worst = max(errors, key=lambda e: (len(e.path), not e.choices))
+        if worst.choices:
+            choices = tuple(c for e in errors if e.path == worst.path for c in e.choices)
+            raise _want(f"one of {choices!r}", worst.value, choices, worst.path)
+        raise worst
 
-    def number(self, value, path: str, minimum: float | None = None, above: float | None = None) -> float:
-        """``value`` as a finite float, at least ``minimum`` and more than ``above``."""
-        try:
-            x = float(value) if type(value) in (int, float) else math.nan
-        except OverflowError:  # an integer beyond every float
-            x = math.nan
-        if not (math.isfinite(x) and (minimum is None or x >= minimum) and (above is None or x > above)):
-            bound = f" >= {minimum:g}" if minimum is not None else f" > {above:g}" if above is not None else ""
-            self._want(path, "a finite number" + bound, value)
-        return x
-
-    def xy(self, item: dict, path: str) -> tuple[float, float]:
-        return self.number(item["x"], _join(path, "x")), self.number(item["y"], _join(path, "y"))
-
-    def build(self, cls, path: str, **kwargs):
-        """``cls(**kwargs)``, failing at ``path`` when the constructor refuses a value."""
-        try:
-            return cls(**kwargs)
-        except (ValueError, self.error) as exc:
-            self.fail(path, f"is invalid: {exc}")
-
-    def typed(self, hint, value, path: str):
-        """``value`` checked against the type annotation ``hint``. Scalars come
-        back unconverted, arrays as the annotated list or tuple, and objects
-        annotated with a dataclass as that dataclass."""
-        if hint in (int, float):
-            (self.integer if hint is int else self.number)(value, path)
-            return value
-        if hint in (str, bool):
-            if type(value) is not hint:
-                self._want(path, "a string" if hint is str else "true or false", value)
-            return value
-        origin, args = typing.get_origin(hint), typing.get_args(hint)
-        if hint is dict or origin is dict:
-            self.object(value, path)
-            if args:
-                return {key: self.typed(args[1], item, _join(path, key)) for key, item in value.items()}
-        elif dataclasses.is_dataclass(hint):
-            return self.dataclass(hint, value, path)
-        elif typing.is_typeddict(hint):
-            hints = _hints(hint)
-            self.object(value, path, required=hints, allowed=hints)
-            return {key: self.typed(hints[key], item, _join(path, key)) for key, item in value.items()}
-        elif origin in (typing.Union, types.UnionType):
-            if value is None and type(None) in args:
-                return None
-            (inner,) = [arg for arg in args if arg is not type(None)]
-            return self.typed(inner, value, path)
-        elif origin in (list, tuple):
-            items = self.array(value, path, len(args) if origin is tuple else None)
-            kinds = args if origin is tuple else args * len(items)
-            return origin(self.typed(kind, item, f"{path}[{i}]") for i, (kind, item) in enumerate(zip(kinds, items)))
-        else:
-            raise TypeError(f"no reader for {hint!r}")
-        return value
-
-    def dataclass(self, cls, value, path: str = ""):
-        """``cls`` built from the JSON object ``value`` by its field annotations.
-        A missing field takes its default, or None when it has none and its
-        type allows None; a key that names no field is refused."""
-        hints = _hints(cls)
-        self.object(value, path, allowed=hints)
-        kwargs = {}
-        for fld in dataclasses.fields(cls):
-            if fld.name in value:
-                kwargs[fld.name] = self.typed(hints[fld.name], value[fld.name], _join(path, fld.name))
-            elif fld.default is dataclasses.MISSING and fld.default_factory is dataclasses.MISSING:
-                if type(None) not in typing.get_args(hints[fld.name]):
-                    self.fail(_join(path, fld.name), "is missing")
-                kwargs[fld.name] = None
-        return self.build(cls, path, **kwargs)
+    return alternatives

@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .fields import Fields, read_text
+from .fields import ConfigError, build, check, parse, read_text
 from .geometry import MetricPoint
 from .osmag import OsmagError, SemanticMap
 
@@ -135,11 +135,7 @@ class SensorConfig:
     rays: int = 61
 
     def __post_init__(self) -> None:
-        # the maxima bound the work of one sense call: range_m sizes the
-        # square that culls the segments each ray is tested against, and rays
-        # is the row count of the ray x segment arrays
-        if not (self.fov_deg > 0 and 0 < self.range_m <= 100 and 1 <= self.rays <= 3600):
-            raise ValueError("sensor needs fov_deg > 0, 0 < range_m <= 100 and 1 <= rays <= 3600")
+        check(asdict(self), "world.schema.json#/properties/sensor", "sensor", ValueError)
 
 
 @dataclass(frozen=True)
@@ -179,9 +175,6 @@ def normalize_label(label: str) -> str:
     return label.strip().lower()
 
 
-_WORLD_KEYS = ("obstacles", "instances", "sensor", "start")
-
-
 class WorldModel:
     """Hidden ground truth: obstacle geometry, object instances, sensor spec."""
 
@@ -215,26 +208,17 @@ class WorldModel:
     def from_file(cls, path: str) -> "WorldModel":
         """The world file at ``path``; a value its schema forbids raises
         :class:`ConfigError` naming the file and the field."""
-        f = Fields(path)
-        data = f.object(f.parse(read_text(path)), "", ("obstacles", "instances", "sensor"), _WORLD_KEYS)
-        obstacles, instances = [], []
-        for i, item in enumerate(f.array(data["obstacles"], "obstacles")):
-            p = f"obstacles[{i}]"
-            f.object(item, p, ("kind", "coords"), ("kind", "coords"))
-            coords = f.array(item["coords"], p + ".coords", 4)
-            kind = f.choice(item["kind"], p + ".kind", ("rect", "segment"))
-            obstacles.append(Obstacle(kind, tuple(f.number(c, f"{p}.coords[{j}]") for j, c in enumerate(coords))))
-        for i, item in enumerate(f.array(data["instances"], "instances")):
-            p = f"instances[{i}]"
-            f.object(item, p, ("label", "x", "y"), ("label", "x", "y", "room_id"))
-            label = f.typed(str, item["label"], p + ".label")
-            room_id = f.integer(item["room_id"], p + ".room_id") if "room_id" in item else None
-            position = MetricPoint(*f.xy(item, p))
-            instances.append(f.build(ObjectInstance, p, label=label, position=position, room_id=room_id))
-        start = None
-        if "start" in data:
-            start = MetricPoint(*f.xy(f.object(data["start"], "start", ("x", "y"), ("x", "y")), "start"))
-        return cls(obstacles, instances, f.dataclass(SensorConfig, data["sensor"], "sensor"), start)
+        data = parse(read_text(path), path)
+        check(data, "world.schema.json", path)
+        obstacles = [Obstacle(item["kind"], tuple(map(float, item["coords"]))) for item in data["obstacles"]]
+        instances = [
+            build(ObjectInstance, path, ConfigError, f"instances[{i}]", label=item["label"],
+                  position=MetricPoint(float(item["x"]), float(item["y"])), room_id=item.get("room_id"))
+            for i, item in enumerate(data["instances"])
+        ]
+        start = data.get("start")
+        start = None if start is None else MetricPoint(float(start["x"]), float(start["y"]))
+        return cls(obstacles, instances, SensorConfig(**data["sensor"]), start)
 
     def to_dict(self) -> dict:
         out: dict = {

@@ -16,19 +16,14 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .fields import Fields, read_text
+from .fields import check, parse, read_text
 
 API_KEY_ENV = "OSMAG_NAV_API_KEY"
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_RETRIES = 3
 DEFAULT_MAX_IN_FLIGHT = 4
-# the keys each backend kind reads: (required, optional)
-_BACKEND_KEYS = {
-    "heuristic": (("kind",), ()),
-    "scripted": (("kind", "fixtures_file"), ()),
-    "live": (("kind", "endpoint"), ("model", "timeout_s", "retries", "max_in_flight")),
-}
-BACKEND_KINDS = tuple(_BACKEND_KEYS)
+BACKEND_KINDS = ("heuristic", "scripted", "live")
+_BACKEND = "experiment.schema.json#/properties/backend"
 # every live request is greedy and capped: plans are short and must be repeatable
 TEMPERATURE = 0.0
 MAX_TOKENS = 1024
@@ -80,8 +75,9 @@ class ScriptedBackend(TextBackend):
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
-        f = Fields(path, BackendError)
-        return cls(f.typed(dict[str, str], f.parse(read_text(path)), ""))
+        fixtures = parse(read_text(path), path, BackendError)
+        check(fixtures, "fixtures.schema.json", path, BackendError)
+        return cls(fixtures)
 
     def complete_text(self, req: CompletionRequest) -> str:
         key = req.fingerprint()
@@ -94,9 +90,8 @@ class LiveBackend(TextBackend):
     """OpenAI-compatible chat-completions client with bounded retries.
 
     The credential comes from the environment only (never a flag or file) and
-    is never echoed. A call can block at most timeout x retries. A bound out of
-    range (``timeout_s`` not finite and positive, ``retries`` or
-    ``max_in_flight`` below 1) raises :class:`BackendError` naming the field.
+    is never echoed. A call can block at most timeout x retries. A value the
+    live backend's schema forbids raises :class:`BackendError` naming the field.
     """
 
     kind = "live"
@@ -110,10 +105,12 @@ class LiveBackend(TextBackend):
         retries: int = DEFAULT_RETRIES,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     ):
-        f = Fields("backend", BackendError)
-        self.timeout_s = f.number(timeout_s, "timeout_s", above=0)
-        self.retries = f.integer(retries, "retries", minimum=1)
-        self._gate = threading.Semaphore(f.integer(max_in_flight, "max_in_flight", minimum=1))
+        spec = {"kind": "live", "endpoint": endpoint, "model": model, "timeout_s": timeout_s, "retries": retries,
+                "max_in_flight": max_in_flight}
+        check(spec, f"{_BACKEND}/oneOf/{BACKEND_KINDS.index(self.kind)}", "backend", BackendError)
+        self.timeout_s = float(timeout_s)
+        self.retries = retries
+        self._gate = threading.Semaphore(max_in_flight)
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise BackendError(f"set {API_KEY_ENV} to use the live backend")
@@ -176,18 +173,14 @@ def make_backend(spec: dict, base_dir: str = ".") -> TextBackend:
     ``base_dir`` when relative. A value the experiment schema forbids, or a
     key that the spec's kind does not read, raises :class:`BackendError`
     naming the field."""
-    f = Fields("backend", BackendError)
-    kind = f.choice(f.object(spec, "", required=("kind",))["kind"], "kind", BACKEND_KINDS)
-    required, optional = _BACKEND_KEYS[kind]
-    f = Fields(f"{kind} backend", BackendError)
-    f.object(spec, "", required, required + optional)
+    kind = spec.get("kind") if type(spec) is dict else None
+    check(spec, _BACKEND, f"{kind} backend" if kind in BACKEND_KINDS else "backend", BackendError)
     if kind == "scripted":
-        path = os.path.join(base_dir, f.typed(str, spec["fixtures_file"], "fixtures_file"))
-        return ScriptedBackend.from_file(path)
+        return ScriptedBackend.from_file(os.path.join(base_dir, spec["fixtures_file"]))
     if kind == "live":
         return LiveBackend(
-            endpoint=f.typed(str, spec["endpoint"], "endpoint"),
-            model=f.typed(str, spec.get("model", "gpt-4o"), "model"),
+            endpoint=spec["endpoint"],
+            model=spec.get("model", "gpt-4o"),
             timeout_s=spec.get("timeout_s", DEFAULT_TIMEOUT_S),
             retries=spec.get("retries", DEFAULT_RETRIES),
             max_in_flight=spec.get("max_in_flight", DEFAULT_MAX_IN_FLIGHT),

@@ -334,7 +334,7 @@ def test_simulate_oversized_sensor_is_config_error(tmp_path, capsys, sensor):
     assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "world.json" in err and "'sensor'" in err and "Traceback" not in err
+    assert f"world.json: field 'sensor.{next(iter(sensor))}' must be " in err and "Traceback" not in err
     assert not records_out.exists()
 
 
@@ -355,7 +355,34 @@ def test_simulate_oversized_fp_rate_is_config_error(tmp_path, capsys, fp_rate):
     assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "'profile'" in err and "fp_rate" in err and "Traceback" not in err
+    assert "field 'profile.fp_rate' must be a finite number >= 0 and <= 100" in err and "Traceback" not in err
+    assert not records_out.exists()
+
+
+@pytest.mark.parametrize("resolution", [0.5, 1e308, 10**30], ids=["0.5", "1e308", "10**30"])
+def test_simulate_coarse_grid_is_config_error(tmp_path, capsys, monkeypatch, resolution):
+    # refused when the config is read, before any grid is rendered: from
+    # 0.5 m up the planner's inflation is 0 cells
+    from osmag_nav import episode, evalkit
+    from osmag_nav.fixtures import demo_experiment_config, enriched_five_room_map, five_room_world
+
+    def no_render(*args):
+        raise AssertionError("rendered a grid")
+
+    monkeypatch.setattr(evalkit, "render_grid", no_render)
+    monkeypatch.setattr(episode, "render_grid", no_render)
+    (tmp_path / "map.osm").write_text(serialize_osmag(enriched_five_room_map()), encoding="utf-8")
+    (tmp_path / "world.json").write_text(json.dumps(five_room_world().to_dict()), encoding="utf-8")
+    config = demo_experiment_config()
+    config.update({"map": "map.osm", "world": "world.json", "grid_resolution_m": resolution})
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    records_out = tmp_path / "records.jsonl"
+    assert main(["simulate", str(config_path), "-o", str(records_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "field 'grid_resolution_m' must be a finite number > 0 and < 0.5" in err and "Traceback" not in err
     assert not records_out.exists()
 
 

@@ -25,7 +25,7 @@ def _world(instances, obstacles=(), fov=120.0, range_m=5.0):
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError, match=r"p_propose_tp=1.5 outside \[0, 1\]"):
+    with pytest.raises(ValueError, match="field 'p_propose_tp' must be a finite number >= 0 and <= 1, got 1.5"):
         DetectionProfile(p_propose_tp=1.5)
     with pytest.raises(ValueError, match="rotation_step_deg must divide 360"):
         DetectionProfile(rotation_step_deg=70)

@@ -10,10 +10,10 @@ from osmag_nav import enrichment
 from osmag_nav.enrichment import (
     DEFAULT_MERGE_RADIUS_M,
     EnrichmentError,
-    ViewpointRecord,
     ingest,
+    parse_records,
 )
-from osmag_nav.geometry import MetricPoint, unproject
+from osmag_nav.geometry import unproject
 from osmag_nav.osmag import PARENT_KEY, Area, AreaTable, SemanticMap, serialize_osmag, validate
 
 
@@ -60,8 +60,9 @@ def test_viewpoint_node_joins_observed(bare_map):
 
 
 def test_empty_observed_list_rejected():
-    with pytest.raises(EnrichmentError):
-        ViewpointRecord(MetricPoint(0.0, 0.0), 0.0, ())
+    # the records schema's minItems: the records loader refuses it
+    with pytest.raises(EnrichmentError, match=r"field 'viewpoints\[0\].observed' must be an array of length >= 1"):
+        parse_records({"viewpoints": [{"x": 0.0, "y": 0.0, "observed": []}]})
 
 
 def test_viewpoints_along_corridor_share_parent():
@@ -196,9 +197,11 @@ def test_ingest_schema_violation_aborts_before_mutation(bare_map):
 @pytest.mark.parametrize(
     "section, record, wanted",
     [
-        ("viewpoints", {"x": 8.0, "y": 1.0, "observed": "sink"}, "bad viewpoint record #0"),
-        ("room_descriptions", {"area_id": 105, "descriptions": "abc"}, "bad room description record #0"),
+        ("viewpoints", {"x": 8.0, "y": 1.0, "observed": "sink"}, r"field 'viewpoints\[0\].observed' must be an array"),
+        ("room_descriptions", {"area_id": 105, "descriptions": "abc"},
+         r"field 'room_descriptions\[0\].descriptions' must be an array"),
     ],
+    ids=["viewpoints", "room_descriptions"],
 )
 def test_string_where_list_belongs_rejected(bare_map, section, record, wanted):
     payload = {"instances": [{"label": "ok", "x": 8.0, "y": 1.0}], section: [record]}
